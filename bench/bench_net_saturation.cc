@@ -112,7 +112,6 @@ void IdleConnections(benchmark::State& state) {
     QueryService service;
     SeedTc(&service, 50, 80);
     ServerOptions options;
-    options.mode = ServerOptions::Mode::kEpoll;
     options.listen_backlog = 256;
     TcpServer server(&service, options);
     StatusOr<int> port = server.Start(0);
@@ -180,7 +179,6 @@ void OverloadSaturation(benchmark::State& state) {
     QueryService service;
     SeedTc(&service, 600, 1000);
     ServerOptions options;
-    options.mode = ServerOptions::Mode::kEpoll;
     options.queue_capacity = 4;
     options.workers = 2;
     options.listen_backlog = 256;

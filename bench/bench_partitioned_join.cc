@@ -1,19 +1,18 @@
 // Benchmark for the partitioned parallel HashJoin (rel/ops.cc) against
-// the PR 1 contiguous-chunk parallel join and the serial oracle, on an
-// scsg-shaped workload: one fixpoint round's delta joined against a
-// chain relation whose derivations are heavily duplicated (the paper's
-// same-generation programs re-derive the same pair through many
-// paths), with a hot-key segment so partition skew telemetry has
-// something to report.
+// the serial join, on an scsg-shaped workload: one fixpoint round's
+// delta joined against a chain relation whose derivations are heavily
+// duplicated (the paper's same-generation programs re-derive the same
+// pair through many paths), with a hot-key segment so partition skew
+// telemetry has something to report.
 //
-// Modes run on an 8-thread pool regardless of the host's core count —
-// on a single core the partitioned path's win is cache locality
+// The partitioned join runs on an 8-thread pool regardless of the
+// host's core count — on a single core its win is cache locality
 // (probes grouped per partition walk ~1/P of the index structures);
 // on a multi-core host partition affinity adds real parallel scaling
-// on top. Acceptance bar: partitioned >= 1.3x over contiguous.
+// on top. The serial join is the same HashJoin on a 1-thread pool.
 //
-// Before timing anything, main() differential-checks all three modes
-// for byte-identical output (contents AND row order) and aborts on
+// Before timing anything, main() differential-checks the two for
+// byte-identical output (contents AND row order) and aborts on
 // mismatch, so a reported speedup can never come from a wrong join.
 #include <benchmark/benchmark.h>
 
@@ -79,27 +78,28 @@ Workload& SharedWorkload() {
   return *w;
 }
 
-ThreadPool& BenchPool() {
-  static ThreadPool* pool = new ThreadPool(8);
-  return *pool;
+/// The pools the two joins run on: 1 thread = the serial loop, 8 =
+/// the partitioned path.
+ThreadPool* BenchPool(int threads) {
+  static ThreadPool* serial = new ThreadPool(1);
+  static ThreadPool* parallel = new ThreadPool(8);
+  return threads == 1 ? serial : parallel;
 }
 
-void RunJoin(ParallelJoinMode mode, Relation* out) {
+void RunJoin(int threads, Relation* out) {
   Workload& w = SharedWorkload();
-  ParallelJoinMode prev_mode = SetParallelJoinMode(mode);
   int64_t prev_rows = SetParallelJoinMinRows(1);
-  HashJoin(w.delta, w.edge, w.spec, w.out_cols, out, &BenchPool());
-  SetParallelJoinMode(prev_mode);
+  HashJoin(w.delta, w.edge, w.spec, w.out_cols, out, BenchPool(threads));
   SetParallelJoinMinRows(prev_rows);
 }
 
-void BM_Join(benchmark::State& state, ParallelJoinMode mode) {
+void BM_Join(benchmark::State& state, int threads) {
   Workload& w = SharedWorkload();
   const PartitionedJoinTelemetry before = GetPartitionedJoinTelemetry();
   int64_t out_rows = 0;
   for (auto _ : state) {
     Relation out(2);
-    RunJoin(mode, &out);
+    RunJoin(threads, &out);
     out_rows = out.num_rows();
     benchmark::DoNotOptimize(out_rows);
   }
@@ -107,8 +107,8 @@ void BM_Join(benchmark::State& state, ParallelJoinMode mode) {
   state.SetItemsProcessed(state.iterations() * w.delta.num_rows());
   state.counters["out_rows"] = static_cast<double>(out_rows);
   state.counters["build_rows"] = static_cast<double>(w.edge.num_rows());
-  // Partition-skew telemetry (zero on the non-partitioned modes): the
-  // acceptance JSON reports how balanced the radix split was.
+  // Partition-skew telemetry (absent on the serial join): the JSON
+  // reports how balanced the radix split was.
   const int64_t batches = after.batches - before.batches;
   if (batches > 0) {
     const double partitions =
@@ -138,36 +138,30 @@ void BM_Join(benchmark::State& state, ParallelJoinMode mode) {
   }
 }
 
-BENCHMARK_CAPTURE(BM_Join, serial, ParallelJoinMode::kSerial)
+BENCHMARK_CAPTURE(BM_Join, serial, 1)
     ->Name("join/serial")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Join, contiguous, ParallelJoinMode::kContiguous)
-    ->Name("join/contiguous8")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Join, partitioned, ParallelJoinMode::kPartitioned)
+BENCHMARK_CAPTURE(BM_Join, partitioned, 8)
     ->Name("join/partitioned8")
     ->Unit(benchmark::kMillisecond);
 
-/// Differential check: all three modes must produce byte-identical
-/// output — same tuples in the same row order.
+/// Differential check: the partitioned join must produce byte-identical
+/// output to the serial one — same tuples in the same row order.
 bool OutputsIdentical() {
-  Relation serial(2), contiguous(2), partitioned(2);
-  RunJoin(ParallelJoinMode::kSerial, &serial);
-  RunJoin(ParallelJoinMode::kContiguous, &contiguous);
-  RunJoin(ParallelJoinMode::kPartitioned, &partitioned);
-  for (const Relation* got : {&contiguous, &partitioned}) {
-    if (got->num_rows() != serial.num_rows()) {
-      std::fprintf(stderr, "join output row count mismatch: %lld vs %lld\n",
-                   static_cast<long long>(got->num_rows()),
-                   static_cast<long long>(serial.num_rows()));
+  Relation serial(2), partitioned(2);
+  RunJoin(1, &serial);
+  RunJoin(8, &partitioned);
+  if (partitioned.num_rows() != serial.num_rows()) {
+    std::fprintf(stderr, "join output row count mismatch: %lld vs %lld\n",
+                 static_cast<long long>(partitioned.num_rows()),
+                 static_cast<long long>(serial.num_rows()));
+    return false;
+  }
+  for (int64_t i = 0; i < serial.num_rows(); ++i) {
+    if (!(partitioned.row(i) == serial.row(i))) {
+      std::fprintf(stderr, "join output differs at row %lld\n",
+                   static_cast<long long>(i));
       return false;
-    }
-    for (int64_t i = 0; i < serial.num_rows(); ++i) {
-      if (!(got->row(i) == serial.row(i))) {
-        std::fprintf(stderr, "join output differs at row %lld\n",
-                     static_cast<long long>(i));
-        return false;
-      }
     }
   }
   return true;
@@ -182,7 +176,7 @@ bool ViewCacheHitRateHealthy() {
   const PartitionedJoinTelemetry before = GetPartitionedJoinTelemetry();
   for (int i = 0; i < 3; ++i) {
     Relation out(2);
-    RunJoin(ParallelJoinMode::kPartitioned, &out);
+    RunJoin(8, &out);
   }
   const PartitionedJoinTelemetry after = GetPartitionedJoinTelemetry();
   const int64_t hits = after.view_hits - before.view_hits;
@@ -210,7 +204,7 @@ int main(int argc, char** argv) {
                  "serial oracle; refusing to benchmark a wrong join\n");
     return 1;
   }
-  std::printf("parallel join outputs byte-identical across modes\n");
+  std::printf("partitioned join output byte-identical to serial\n");
   if (!chainsplit::ViewCacheHitRateHealthy()) {
     std::fprintf(stderr,
                  "FATAL: partitioned-view cache hit rate below the "

@@ -73,11 +73,6 @@ void RunScsg(benchmark::State& state, Technique technique) {
   state.counters["hash_collisions"] =
       static_cast<double>(storage.hash_collisions);
   state.counters["arena_bytes"] = static_cast<double>(storage.arena_bytes);
-  state.counters["parallel_batches"] =
-      static_cast<double>(storage.parallel_batches);
-  state.counters["partitioned_batches"] =
-      static_cast<double>(storage.partitioned_batches);
-  state.counters["partition_skew"] = storage.partition_skew;
 }
 
 void ChainFollowingMagic(benchmark::State& state) {

@@ -58,11 +58,6 @@ void QueryDirected(benchmark::State& state, Technique technique) {
   state.counters["hash_collisions"] =
       static_cast<double>(storage.hash_collisions);
   state.counters["arena_bytes"] = static_cast<double>(storage.arena_bytes);
-  state.counters["parallel_batches"] =
-      static_cast<double>(storage.parallel_batches);
-  state.counters["partitioned_batches"] =
-      static_cast<double>(storage.partitioned_batches);
-  state.counters["partition_skew"] = storage.partition_skew;
 }
 
 void MagicSets(benchmark::State& state) {
@@ -96,11 +91,6 @@ void FullSemiNaive(benchmark::State& state) {
   state.counters["hash_collisions"] =
       static_cast<double>(storage.hash_collisions);
   state.counters["arena_bytes"] = static_cast<double>(storage.arena_bytes);
-  state.counters["parallel_batches"] =
-      static_cast<double>(storage.parallel_batches);
-  state.counters["partitioned_batches"] =
-      static_cast<double>(storage.partitioned_batches);
-  state.counters["partition_skew"] = storage.partition_skew;
 }
 
 const std::vector<int64_t> kFamilies = {1, 2, 4, 8};

@@ -12,7 +12,6 @@
 #include "common/deadline.h"
 #include "core/classify.h"
 #include "core/cost_model.h"
-#include "rel/ops.h"
 
 namespace chainsplit {
 namespace {
@@ -85,11 +84,9 @@ Status EvaluateSccSchedule(EvalDb* db, const std::vector<Rule>& rules,
   *stats = SemiNaiveStats{};
   SccScheduleStats sched;
 
-  // Storage-telemetry baseline at schedule scope (the per-stratum
-  // deltas of concurrent fixpoints overlap on the global join
-  // counters, so per-run storage numbers are computed once, here).
-  const int64_t parallel_batches_before = ParallelJoinBatches();
-  const PartitionedJoinTelemetry pjoin_before = GetPartitionedJoinTelemetry();
+  // Storage-telemetry baseline at schedule scope (concurrent strata
+  // share the base relations' counters, so per-run storage numbers are
+  // computed once, here).
   const TelemetrySum db_before = DatabaseTelemetry(*db);
 
   ProgramAnalysis analysis = ProgramAnalysis::Analyze(db->program(), rules);
@@ -259,16 +256,6 @@ Status EvaluateSccSchedule(EvalDb* db, const std::vector<Rule>& rules,
   stats->storage.probes = db_after.probes - db_before.probes;
   stats->storage.hash_collisions = db_after.collisions - db_before.collisions;
   stats->storage.arena_bytes = db_after.arena;
-  stats->storage.parallel_batches =
-      ParallelJoinBatches() - parallel_batches_before;
-  const PartitionedJoinTelemetry pjoin = GetPartitionedJoinTelemetry();
-  stats->storage.partitioned_batches = pjoin.batches - pjoin_before.batches;
-  stats->storage.partitioned_views_built =
-      pjoin.views_built - pjoin_before.views_built;
-  stats->storage.partition_build_rows =
-      pjoin.build_rows - pjoin_before.build_rows;
-  stats->storage.max_partition_rows =
-      pjoin.max_partition_rows - pjoin_before.max_partition_rows;
 
   if (schedule_stats != nullptr) *schedule_stats = sched;
   return status;

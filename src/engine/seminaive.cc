@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/strings.h"
-#include "rel/ops.h"
 
 namespace chainsplit {
 namespace {
@@ -54,8 +53,6 @@ Status SemiNaiveEvaluate(EvalDb* db, const std::vector<Rule>& rules,
   // each relation's lifetime, so report deltas against the state at
   // entry. Scratch and delta relations are created below and folded in
   // as they are consumed.
-  const int64_t parallel_batches_before = ParallelJoinBatches();
-  const PartitionedJoinTelemetry pjoin_before = GetPartitionedJoinTelemetry();
   const TelemetrySum db_before = DatabaseTelemetry(*db);
   TelemetrySum scratch_sum;
 
@@ -195,28 +192,6 @@ Status SemiNaiveEvaluate(EvalDb* db, const std::vector<Rule>& rules,
                                    db_before.collisions +
                                    scratch_sum.collisions + deltas.collisions;
   stats->storage.arena_bytes = db_after.arena + deltas.arena;
-  stats->storage.parallel_batches =
-      ParallelJoinBatches() - parallel_batches_before;
-  const PartitionedJoinTelemetry pjoin = GetPartitionedJoinTelemetry();
-  stats->storage.partitioned_batches = pjoin.batches - pjoin_before.batches;
-  stats->storage.partitioned_views_built =
-      pjoin.views_built - pjoin_before.views_built;
-  stats->storage.partition_build_rows =
-      pjoin.build_rows - pjoin_before.build_rows;
-  stats->storage.max_partition_rows =
-      pjoin.max_partition_rows - pjoin_before.max_partition_rows;
-  const int64_t run_partitions = pjoin.partitions - pjoin_before.partitions;
-  if (stats->storage.partition_build_rows > 0 &&
-      stats->storage.partitioned_batches > 0) {
-    // Average per-batch skew, weighted by build rows: sum(max_p) over
-    // batches times the mean partition count over the ideal uniform
-    // split.
-    stats->storage.partition_skew =
-        static_cast<double>(stats->storage.max_partition_rows) *
-        (static_cast<double>(run_partitions) /
-         stats->storage.partitioned_batches) /
-        static_cast<double>(stats->storage.partition_build_rows);
-  }
   return Status::Ok();
 }
 

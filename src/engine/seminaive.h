@@ -52,17 +52,6 @@ struct StorageStats {
   int64_t probes = 0;           // index probes issued during the run
   int64_t hash_collisions = 0;  // open-addressing collision steps
   int64_t arena_bytes = 0;      // arena footprint at fixpoint
-  int64_t parallel_batches = 0;  // HashJoin parallel batches (both paths)
-
-  // Partitioned-join telemetry for this run (deltas of
-  // GetPartitionedJoinTelemetry, see rel/ops.h). partition_skew is
-  // max-partition rows over the ideal build_rows/partitions split,
-  // averaged across batches: 1.0 = perfectly balanced partitions.
-  int64_t partitioned_batches = 0;
-  int64_t partitioned_views_built = 0;
-  int64_t partition_build_rows = 0;
-  int64_t max_partition_rows = 0;
-  double partition_skew = 1.0;
 };
 
 /// Aggregate statistics of one fixpoint run; benchmarks report these as

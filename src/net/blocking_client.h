@@ -34,7 +34,7 @@ class BlockingClient {
   /// without it. Empty string on disconnect.
   std::string ReadFrame();
 
-  /// Reads every byte until the peer closes (for differential tests).
+  /// Reads every byte until the peer closes (for transcript tests).
   std::string ReadUntilClose();
 
   int fd() const { return fd_; }

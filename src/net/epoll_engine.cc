@@ -97,8 +97,7 @@ void EpollEngine::OnEvent(uint64_t key, uint32_t events) {
 
 void EpollEngine::Accept() {
   while (true) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
+    int fd = AcceptConnection(listen_fd_);
     if (fd < 0) {
       // EAGAIN: drained. EMFILE/ENFILE & friends: retry on the next
       // listen-ready event rather than spinning.

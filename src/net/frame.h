@@ -7,10 +7,9 @@
 namespace chainsplit {
 
 /// Splits a TCP byte stream into protocol lines, enforcing a maximum
-/// request-line size. Both server front ends (the legacy
-/// thread-per-connection loop and the epoll engine) frame through this
-/// class, so their byte-level behavior — CRLF stripping, pipelined
-/// segments, oversize rejection — is identical by construction.
+/// request-line size: CRLF stripping, pipelined segments and oversize
+/// rejection for the epoll engine, kept apart from its socket handling
+/// so net_frame_test can drive it byte by byte.
 ///
 /// Draining is amortized linear: Next() walks a read offset through
 /// the buffer and compacts once per Append, never erase-per-line (a
@@ -48,9 +47,7 @@ class LineFramer {
   bool poisoned_ = false;
 };
 
-/// The error frame written before closing an oversize-line connection;
-/// shared verbatim by both front ends so differential tests can assert
-/// byte-identical output.
+/// The error frame written before closing an oversize-line connection.
 std::string OversizeFrame(size_t max_line_bytes);
 
 /// The admission-control rejection frame: written when the bounded

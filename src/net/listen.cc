@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -49,6 +50,16 @@ StatusOr<int> BoundPort(int listen_fd) {
     return InternalError(StrCat("getsockname: ", std::strerror(errno)));
   }
   return static_cast<int>(ntohs(sa.sin_port));
+}
+
+int AcceptConnection(int listen_fd) {
+  int fd = ::accept4(listen_fd, nullptr, nullptr,
+                     SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd >= 0) {
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return fd;
 }
 
 Status SetNonBlocking(int fd) {

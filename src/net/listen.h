@@ -17,6 +17,13 @@ StatusOr<int> OpenListenSocket(const std::string& addr, int port,
 /// bind).
 StatusOr<int> BoundPort(int listen_fd);
 
+/// Accepts one pending connection on `listen_fd` as a non-blocking,
+/// close-on-exec socket with TCP_NODELAY set, so a response is sent as
+/// soon as it is written instead of waiting out Nagle's algorithm
+/// behind the client's delayed ACK. Returns the new fd, or -1 with
+/// errno set as by accept4 (EAGAIN once the backlog is drained).
+int AcceptConnection(int listen_fd);
+
 /// Sets O_NONBLOCK on `fd`.
 Status SetNonBlocking(int fd);
 

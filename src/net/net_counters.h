@@ -7,7 +7,7 @@
 
 namespace chainsplit {
 
-/// Front-end telemetry shared by both TCP server modes, surfaced by
+/// Front-end telemetry of the TCP server's epoll engine, surfaced by
 /// the `:net` command and the network benches. Counters are relaxed
 /// atomics — they are monotone tallies (plus two gauges), not
 /// synchronization; exact cross-field consistency is not promised.

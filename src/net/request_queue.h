@@ -1,6 +1,7 @@
 #ifndef CHAINSPLIT_NET_REQUEST_QUEUE_H_
 #define CHAINSPLIT_NET_REQUEST_QUEUE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -41,7 +42,13 @@ class BoundedQueue {
   /// Blocks for the next item; false once stopped and drained.
   bool Pop(T* item) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return stopped_ || !items_.empty(); });
+    // The wait also re-checks on a timer: glibc before 2.41 can lose a
+    // pthread_cond_signal (sourceware bug 25847), and a lost notify
+    // would leave a pushed line queued, its client stalled, until some
+    // later push. The timer bounds that stall at kRecheck.
+    while (!cv_.wait_for(lock, kRecheck,
+                         [this] { return stopped_ || !items_.empty(); })) {
+    }
     if (items_.empty()) return false;
     *item = std::move(items_.front());
     items_.pop_front();
@@ -67,6 +74,8 @@ class BoundedQueue {
   }
 
  private:
+  static constexpr std::chrono::milliseconds kRecheck{50};
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> items_;

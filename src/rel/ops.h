@@ -37,15 +37,16 @@ struct JoinSpec {
 /// keys this is a cross product — the degenerate plan the paper warns
 /// about when merging unshared chains (§1.1); benchmark E8 measures it.
 ///
-/// Above a probe-side row threshold (see SetParallelJoinMinRows) the
-/// join runs in parallel on the shared ThreadPool. The default path
-/// radix-partitions both sides by join-key hash: each worker builds
-/// and probes one partition's private hash table (stable
-/// worker<->partition affinity, NUMA first-touch when available — see
-/// docs/perf_notes.md), and the per-partition outputs are merged back
-/// in probe-row order. Either way the result's contents *and row
-/// order* are byte-identical to the single-threaded path. `out` must
-/// be distinct from `left` and `right`.
+/// Above a probe-side row threshold (see SetParallelJoinMinRows), and
+/// when the build side has at least kMinPartitionedBuildRows rows, the
+/// join runs in parallel on the shared ThreadPool: it radix-partitions
+/// both sides by join-key hash, each worker builds and probes one
+/// partition's private hash table (stable worker<->partition affinity,
+/// NUMA first-touch when available — see docs/perf_notes.md), and the
+/// per-partition outputs are merged back in probe-row order. Either
+/// way the result's contents *and row order* are byte-identical to the
+/// single-threaded path. `out` must be distinct from `left` and
+/// `right`.
 void HashJoin(const Relation& left, const Relation& right,
               const JoinSpec& spec, const std::vector<int>& output_columns,
               Relation* out);
@@ -57,7 +58,8 @@ void HashJoin(const Relation& left, const Relation& right,
 
 /// Pool-explicit variant: runs the partitioned path on `pool` instead
 /// of the process-wide shared pool. Used by tests to exercise the
-/// parallel path with a controlled thread count on any hardware.
+/// parallel path with a controlled thread count on any hardware; a
+/// 1-thread pool always takes the serial loop (the test oracle).
 void HashJoin(const Relation& left, const Relation& right,
               const JoinSpec& spec, const std::vector<int>& output_columns,
               Relation* out, ThreadPool* pool);
@@ -66,24 +68,10 @@ void HashJoin(const Relation& left, const Relation& right,
 /// previous threshold; tests use this to force either path.
 int64_t SetParallelJoinMinRows(int64_t min_rows);
 
-/// Number of parallel join batches executed process-wide (a batch = one
-/// HashJoin call that took a parallel path, contiguous or
-/// partitioned). Monotonic; stats collectors report deltas.
-int64_t ParallelJoinBatches();
-
-/// Which parallel algorithm HashJoin uses above the row threshold.
-/// kAuto picks partitioned when the build side is large enough to
-/// amortize partitioning, else the contiguous chunked probe; the
-/// explicit modes exist for benchmarks and differential tests.
-enum class ParallelJoinMode {
-  kAuto,
-  kSerial,       // always single-threaded (the determinism oracle)
-  kContiguous,   // PR 1 path: chunked probe of one global index
-  kPartitioned,  // radix-partitioned build + affinity-pinned probe
-};
-
-/// Sets the process-wide parallel join mode; returns the previous one.
-ParallelJoinMode SetParallelJoinMode(ParallelJoinMode mode);
+/// Build-side rows below which HashJoin stays serial even above the
+/// probe threshold: the per-partition tables are too small to pay for
+/// partitioning (docs/perf_notes.md has the measurement).
+constexpr int64_t kMinPartitionedBuildRows = 2048;
 
 /// Cumulative telemetry of the partitioned join path (process-wide,
 /// monotonic; report deltas). `max_partition_rows` accumulates the
@@ -92,7 +80,6 @@ ParallelJoinMode SetParallelJoinMode(ParallelJoinMode mode);
 /// perfectly balanced partitions).
 struct PartitionedJoinTelemetry {
   int64_t batches = 0;             // joins through the partitioned path
-  int64_t contiguous_batches = 0;  // joins through the contiguous path
   int64_t views_built = 0;         // build-side partitioned views built
   int64_t view_hits = 0;           // cached view reused (fresh, same key)
   int64_t view_misses = 0;         // no cached view, or cached but stale

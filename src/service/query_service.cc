@@ -751,26 +751,14 @@ QueryResponse QueryService::QueryImpl(std::string_view text,
     lookup_span.Attr("hit", int64_t{0});
   }
 
-  // Miss (or bypass): parse and evaluate. The default path holds only
-  // the *shared* lock — ParseQueryOnly leaves the program untouched
-  // and evaluation writes into a query-local DatabaseOverlay — so
-  // concurrent uncached queries run in parallel against the frozen
-  // base. force_exclusive instead evaluates directly against the base
-  // under the exclusive lock (the pre-overlay reference semantics).
+  // Miss (or bypass): parse and evaluate under the *shared* lock only
+  // — ParseQueryOnly leaves the program untouched and evaluation writes
+  // into a query-local DatabaseOverlay — so concurrent uncached
+  // queries run in parallel against the frozen base.
   std::vector<std::pair<PredId, uint64_t>> deps;
   const bool want_deps = use_result_cache;
   uint64_t epoch_at_eval = 0;
-  if (request.force_exclusive) {
-    TraceSpan eval_span(request.trace, "evaluate");
-    eval_span.Attr("lock", "exclusive");
-    std::unique_lock<std::shared_mutex> db_lock(db_mu_);
-    {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      epoch_at_eval = rules_epoch_;
-    }
-    c_.exclusive_evals->Inc();
-    response = EvaluateUncached(&db_, text, request, want_deps, &deps);
-  } else {
+  {
     TraceSpan eval_span(request.trace, "evaluate");
     eval_span.Attr("lock", "shared");
     std::shared_lock<std::shared_mutex> db_lock(db_mu_);

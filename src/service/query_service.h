@@ -90,12 +90,6 @@ struct RequestOptions {
   /// Skip both caches and do not populate them — the uncached
   /// reference path used by differential tests and baselines.
   bool bypass_cache = false;
-  /// Evaluate under the exclusive lock directly against the base
-  /// Database instead of the shared-lock overlay path. This is the
-  /// pre-overlay reference semantics (derived relations persist in the
-  /// base); differential tests compare its answers byte-for-byte
-  /// against the overlay path.
-  bool force_exclusive = false;
   /// Optional caller-owned trace sink. When null the service makes its
   /// own Trace if tracing is on (`:trace on`) or the slow-query log is
   /// armed; otherwise the request runs untraced.
@@ -214,8 +208,7 @@ struct ServiceStats {
   int64_t cancelled = 0;
   /// Lock-acquisition split of uncached evaluations: shared_evals ran
   /// concurrently under the shared lock (overlay path), exclusive_evals
-  /// serialized under the exclusive lock (updates' embedded queries and
-  /// force_exclusive requests).
+  /// serialized under the exclusive lock (updates' embedded queries).
   int64_t shared_evals = 0;
   int64_t exclusive_evals = 0;
   /// Query-local scratch footprint of overlay evaluations: relations
@@ -378,9 +371,10 @@ class QueryService {
     }
   };
 
-  /// Evaluates `query` against `eval_db` (the caller holds db_mu_ in
-  /// the mode matching eval_db: shared for an overlay, exclusive for
-  /// the base), consulting the plan cache. `signature` may be empty to
+  /// Evaluates `query` against `eval_db`, a query-local overlay over
+  /// the base (the caller holds db_mu_, shared for a read and
+  /// exclusive for an update's embedded query), consulting the plan
+  /// cache. `signature` may be empty to
   /// skip the plan cache (bypass mode). (The AST type is written
   /// qualified — the Query() method shadows it in class scope.)
   /// Query() minus the observability epilogue: the public Query()
@@ -392,8 +386,8 @@ class QueryService {
                            const std::string& signature,
                            const RequestOptions& request);
   /// Parse + evaluate + dependency snapshot for an uncached query;
-  /// the caller holds db_mu_ in the mode matching `eval_db` for the
-  /// whole call, which freezes relation versions and the rules epoch.
+  /// the caller holds db_mu_ shared for the whole call, which freezes
+  /// relation versions and the rules epoch.
   QueryResponse EvaluateUncached(
       EvalDb* eval_db, std::string_view text, const RequestOptions& request,
       bool want_deps, std::vector<std::pair<PredId, uint64_t>>* deps);
@@ -455,7 +449,7 @@ class QueryService {
   /// Guards db_: shared = anything that only reads the base (cache
   /// hits, uncached evaluation through an overlay), exclusive =
   /// mutation (fact/rule updates, CSV loads, posting compaction) and
-  /// force_exclusive evaluation against the base itself. Lock order
+  /// the queries embedded in an update. Lock order
   /// when both are needed: db_mu_ before cache_mu_.
   mutable std::shared_mutex db_mu_;
   /// Guards the caches and counters; never held across evaluation.

@@ -1,14 +1,19 @@
-// The event-driven network front end: protocol behavior across both
-// server modes (threaded vs epoll), byte-identical differential
-// sessions, bounded-queue admission control, oversize-line rejection,
-// idle-connection scalability, and fd/thread leak checks.
+// The event-driven network front end: protocol behavior, golden
+// byte transcripts, bounded-queue admission control, oversize-line
+// rejection, accepted-socket options, idle-connection scalability, and
+// fd/thread leak checks.
 
 #include <dirent.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -67,20 +72,10 @@ void SeedService(QueryService* service) {
   ASSERT_TRUE(seeded.status.ok());
 }
 
-class NetServerModeTest
-    : public ::testing::TestWithParam<ServerOptions::Mode> {
- protected:
-  ServerOptions Options() {
-    ServerOptions options;
-    options.mode = GetParam();
-    return options;
-  }
-};
-
-TEST_P(NetServerModeTest, ServesTheLineProtocol) {
+TEST(NetServerTest, ServesTheLineProtocol) {
   QueryService service;
   SeedService(&service);
-  TcpServer server(&service, Options());
+  TcpServer server(&service);
   StatusOr<int> port = server.Start(0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -108,7 +103,7 @@ TEST_P(NetServerModeTest, ServesTheLineProtocol) {
   ASSERT_TRUE(client.Send("Y).\r\n"));
   EXPECT_NE(client.ReadFrame().find("3 answer(s)"), std::string::npos);
 
-  // The :net introspection command works over the wire in both modes.
+  // The :net introspection command works over the wire.
   ASSERT_TRUE(client.Send(":net\n"));
   std::string net = client.ReadFrame();
   EXPECT_NE(net.find("% net mode"), std::string::npos) << net;
@@ -117,10 +112,10 @@ TEST_P(NetServerModeTest, ServesTheLineProtocol) {
   server.Stop();
 }
 
-TEST_P(NetServerModeTest, PipelinedBurstAnsweredInOrder) {
+TEST(NetServerTest, PipelinedBurstAnsweredInOrder) {
   QueryService service;
   ASSERT_TRUE(service.Update("p(a).\np(b).\nq(c).\n").status.ok());
-  TcpServer server(&service, Options());
+  TcpServer server(&service);
   StatusOr<int> port = server.Start(0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -143,10 +138,10 @@ TEST_P(NetServerModeTest, PipelinedBurstAnsweredInOrder) {
   server.Stop();
 }
 
-TEST_P(NetServerModeTest, OversizeLineGetsErrorFrameAndClose) {
+TEST(NetServerTest, OversizeLineGetsErrorFrameAndClose) {
   QueryService service;
   ASSERT_TRUE(service.Update("p(a).").status.ok());
-  ServerOptions options = Options();
+  ServerOptions options;
   options.max_line_bytes = 64;
   TcpServer server(&service, options);
   StatusOr<int> port = server.Start(0);
@@ -183,20 +178,11 @@ TEST_P(NetServerModeTest, OversizeLineGetsErrorFrameAndClose) {
   server.Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothModes, NetServerModeTest,
-    ::testing::Values(ServerOptions::Mode::kThreaded,
-                      ServerOptions::Mode::kEpoll),
-    [](const ::testing::TestParamInfo<ServerOptions::Mode>& info) {
-      return info.param == ServerOptions::Mode::kEpoll ? "Epoll" : "Threaded";
-    });
-
-/// The two front ends must speak byte-identical protocol: one scripted
-/// session — facts, recursion, cache-hit replay with :plan, parse
-/// errors, multi-line clauses, empty lines, commands, :quit — replayed
-/// against a threaded and an epoll server over identically seeded
-/// services, comparing the raw byte streams.
-TEST(NetDifferentialTest, ThreadedAndEpollByteIdentical) {
+/// Golden transcript of one scripted session — facts, recursion,
+/// cache-hit replay with :plan, parse errors, a multi-line clause,
+/// empty lines, commands, :quit — as raw bytes off the wire. Any
+/// change to framing, banner or session output shows up here.
+TEST(NetGoldenTest, ScriptedSessionTranscript) {
   const std::string script =
       "p(a, b).\n"
       "p(b, c).\n"
@@ -214,50 +200,76 @@ TEST(NetDifferentialTest, ThreadedAndEpollByteIdentical) {
       "?- tc(b, Y).\n"
       ":unknowncmd\n"
       ":quit\n";
+  const std::string expected =
+      "% chainsplit ready\n.\n"
+      ".\n.\n.\n.\n"
+      "Y = b\nY = c\n% 2 answer(s)\n.\n"
+      "Y = b\nY = c\n% 2 answer(s)\n.\n"
+      "% plan printing on\n.\n"
+      "% technique: magic-sets (result cache)\n"
+      "recursion class of tc/2: linear (function-free)\n"
+      "technique: magic-sets (3 transformed rules, query tc__bf/2)\n"
+      "plan: answers from result cache\n"
+      "Y = b\nY = c\n% 2 answer(s)\n.\n"
+      "parse error: InvalidArgument: unexpected character '&' at 1:11\n.\n"
+      "  p/2  2 tuples\n.\n"
+      "% deadline 250 ms\n.\n"
+      "% technique: magic-sets (plan cache)\n"
+      "technique: magic-sets (3 transformed rules, query tc__bf/2)\n"
+      "plan: technique reused from plan cache\n"
+      "Y = c\n% 1 answer(s)\n.\n"
+      "unknown command :unknowncmd \u2014 :help\n.\n"
+      ".\n";
 
-  auto run = [&script](ServerOptions::Mode mode) {
-    QueryService service;
-    ServerOptions options;
-    options.mode = mode;
-    TcpServer server(&service, options);
-    StatusOr<int> port = server.Start(0);
-    EXPECT_TRUE(port.ok()) << port.status();
-    BlockingClient client("127.0.0.1", *port);
-    EXPECT_TRUE(client.connected());
-    EXPECT_TRUE(client.Send(script));
-    std::string bytes = client.ReadUntilClose();
-    server.Stop();
-    return bytes;
-  };
-
-  std::string threaded = run(ServerOptions::Mode::kThreaded);
-  std::string epoll = run(ServerOptions::Mode::kEpoll);
-  EXPECT_FALSE(threaded.empty());
-  EXPECT_NE(threaded.find("2 answer(s)"), std::string::npos) << threaded;
-  EXPECT_EQ(threaded, epoll);
+  QueryService service;
+  TcpServer server(&service);
+  StatusOr<int> port = server.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status();
+  BlockingClient client("127.0.0.1", *port);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(script));
+  EXPECT_EQ(client.ReadUntilClose(), expected);
+  server.Stop();
 }
 
-/// Same differential for the oversize-rejection path.
-TEST(NetDifferentialTest, OversizeRejectionByteIdentical) {
-  auto run = [](ServerOptions::Mode mode) {
-    QueryService service;
-    ServerOptions options;
-    options.mode = mode;
-    options.max_line_bytes = 32;
-    TcpServer server(&service, options);
-    StatusOr<int> port = server.Start(0);
-    EXPECT_TRUE(port.ok()) << port.status();
-    BlockingClient client("127.0.0.1", *port);
-    EXPECT_TRUE(client.connected());
-    EXPECT_TRUE(client.Send(std::string(100, 'z')));
-    std::string bytes = client.ReadUntilClose();
-    server.Stop();
-    return bytes;
-  };
-  std::string threaded = run(ServerOptions::Mode::kThreaded);
-  EXPECT_NE(threaded.find("request line exceeds 32 bytes"),
-            std::string::npos);
-  EXPECT_EQ(threaded, run(ServerOptions::Mode::kEpoll));
+/// Golden transcript of the oversize-rejection path: banner, one
+/// in-band error frame, then the server closes.
+TEST(NetGoldenTest, OversizeRejectionTranscript) {
+  QueryService service;
+  ServerOptions options;
+  options.max_line_bytes = 32;
+  TcpServer server(&service, options);
+  StatusOr<int> port = server.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status();
+  BlockingClient client("127.0.0.1", *port);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(std::string(100, 'z')));
+  EXPECT_EQ(client.ReadUntilClose(),
+            "% chainsplit ready\n.\n"
+            "% error: request line exceeds 32 bytes\n.\n");
+  server.Stop();
+}
+
+/// Every socket the engine accepts goes through AcceptConnection,
+/// which must hand back a non-blocking socket with Nagle's algorithm
+/// off: a response must not wait for the client's delayed ACK.
+TEST(NetListenTest, AcceptedConnectionHasNoDelay) {
+  StatusOr<int> listen_fd = OpenListenSocket("127.0.0.1", 0, 4);
+  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status();
+  StatusOr<int> port = BoundPort(*listen_fd);
+  ASSERT_TRUE(port.ok());
+  BlockingClient client("127.0.0.1", *port);
+  ASSERT_TRUE(client.connected());
+
+  const int fd = AcceptConnection(*listen_fd);
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_EQ(nodelay, 1);
+  EXPECT_NE(::fcntl(fd, F_GETFL, 0) & O_NONBLOCK, 0);
+  ::close(fd);
+  ::close(*listen_fd);
 }
 
 /// A handler that parks every request until released — makes queue
@@ -385,12 +397,9 @@ TEST(EpollEngineTest, SingleConnectionPipeliningBackpressuredNotRejected) {
 TEST(NetServerTest, IdleConnectionsAddNoThreads) {
   QueryService service;
   ASSERT_TRUE(service.Update("p(a).").status.ok());
-  ServerOptions options;
-  options.mode = ServerOptions::Mode::kEpoll;
-  TcpServer server(&service, options);
+  TcpServer server(&service);
   StatusOr<int> port = server.Start(0);
   ASSERT_TRUE(port.ok()) << port.status();
-  EXPECT_EQ(server.tracked_connection_threads(), 0);
 
   {
     BlockingClient warm("127.0.0.1", *port);
@@ -441,9 +450,7 @@ TEST(NetServerTest, StopLeaksNoFdsOrThreads) {
   {
     QueryService service;
     ASSERT_TRUE(service.Update("p(a).").status.ok());
-    ServerOptions options;
-    options.mode = ServerOptions::Mode::kEpoll;
-    TcpServer server(&service, options);
+    TcpServer server(&service);
     StatusOr<int> port = server.Start(0);
     ASSERT_TRUE(port.ok()) << port.status();
     std::vector<BlockingClient> clients;

@@ -86,10 +86,11 @@ TEST(OpsTest, SameTuplesIgnoresOrder) {
   EXPECT_FALSE(SameTuples(a, b));
 }
 
-/// Randomized differential test: the contiguous and partitioned
-/// parallel paths must reproduce the serial oracle byte-for-byte —
-/// same tuples, same row order — across workload shapes (sizes, key
-/// widths, match densities chosen by a fixed-seed generator).
+/// Randomized differential test: the partitioned parallel path must
+/// reproduce the serial oracle (the same join on a 1-thread pool)
+/// byte-for-byte — same tuples, same row order — across workload
+/// shapes (sizes, key widths, match densities chosen by a fixed-seed
+/// generator).
 TEST(OpsTest, ParallelModesMatchSerialOracle) {
   uint64_t rng = 0x2545f4914f6cdd1dULL;
   auto next = [&rng](uint64_t bound) {
@@ -97,48 +98,49 @@ TEST(OpsTest, ParallelModesMatchSerialOracle) {
     return (rng >> 33) % bound;
   };
 
+  ThreadPool serial_pool(1);
   ThreadPool pool(4);
   const int64_t old_rows = SetParallelJoinMinRows(1);
   for (int trial = 0; trial < 5; ++trial) {
     const int64_t left_n = 512 + static_cast<int64_t>(next(2500));
-    const int64_t right_n = 512 + static_cast<int64_t>(next(4000));
+    const int64_t right_n =
+        kMinPartitionedBuildRows + static_cast<int64_t>(next(4000));
     const TermId key_space = 3 + static_cast<TermId>(next(400));
     const bool two_keys = trial % 2 == 1;
 
     Relation left(2);
-    Relation right(2);
+    // The third build column is a row id: it keeps every build row
+    // distinct, so the build side stays above the partitioned-path
+    // floor whatever the key space.
+    Relation right(3);
     for (int64_t i = 0; i < left_n; ++i) {
       left.Insert({static_cast<TermId>(next(key_space)),
                    static_cast<TermId>(next(key_space))});
     }
     for (int64_t i = 0; i < right_n; ++i) {
       right.Insert({static_cast<TermId>(next(key_space)),
-                    static_cast<TermId>(next(key_space))});
+                    static_cast<TermId>(next(key_space)),
+                    static_cast<TermId>(i)});
     }
     const JoinSpec spec(two_keys
                             ? std::vector<JoinKey>{{1, 0}, {0, 1}}
                             : std::vector<JoinKey>{{1, 0}});
     const std::vector<int> out_cols = {0, 1, 3};
 
-    SetParallelJoinMode(ParallelJoinMode::kSerial);
     Relation oracle(3);
-    HashJoin(left, right, spec, out_cols, &oracle, &pool);
+    HashJoin(left, right, spec, out_cols, &oracle, &serial_pool);
 
-    for (ParallelJoinMode mode : {ParallelJoinMode::kContiguous,
-                                  ParallelJoinMode::kPartitioned}) {
-      SetParallelJoinMode(mode);
-      Relation got(3);
-      HashJoin(left, right, spec, out_cols, &got, &pool);
-      ASSERT_EQ(got.size(), oracle.size())
-          << "trial " << trial << " mode " << static_cast<int>(mode);
-      for (int64_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got.row(i), oracle.row(i))
-            << "trial " << trial << " mode " << static_cast<int>(mode)
-            << " row " << i;
-      }
+    const int64_t batches = GetPartitionedJoinTelemetry().batches;
+    Relation got(3);
+    HashJoin(left, right, spec, out_cols, &got, &pool);
+    ASSERT_EQ(GetPartitionedJoinTelemetry().batches, batches + 1)
+        << "trial " << trial << " did not take the partitioned path";
+    ASSERT_EQ(got.size(), oracle.size()) << "trial " << trial;
+    for (int64_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got.row(i), oracle.row(i))
+          << "trial " << trial << " row " << i;
     }
   }
-  SetParallelJoinMode(ParallelJoinMode::kAuto);
   SetParallelJoinMinRows(old_rows);
 }
 
@@ -147,12 +149,11 @@ TEST(OpsTest, ParallelModesMatchSerialOracle) {
 TEST(OpsTest, PartitionedJoinSeesBuildSideGrowth) {
   ThreadPool pool(4);
   const int64_t old_rows = SetParallelJoinMinRows(1);
-  SetParallelJoinMode(ParallelJoinMode::kPartitioned);
 
   Relation left(2);
   Relation right(2);
-  for (TermId i = 0; i < 600; ++i) {
-    left.Insert({i, i % 37});
+  for (TermId i = 0; i < 600; ++i) left.Insert({i, i % 37});
+  for (TermId i = 0; i < kMinPartitionedBuildRows; ++i) {
     right.Insert({i % 37, i});
   }
   const JoinSpec spec({{1, 0}});
@@ -169,7 +170,6 @@ TEST(OpsTest, PartitionedJoinSeesBuildSideGrowth) {
   }
   EXPECT_TRUE(found) << "rebuilt view must index the new build row";
 
-  SetParallelJoinMode(ParallelJoinMode::kAuto);
   SetParallelJoinMinRows(old_rows);
 }
 

@@ -1,7 +1,9 @@
 // Snapshot-isolated evaluation: the shared-lock overlay path must be
-// answer-for-answer identical to the exclusive-lock baseline
-// (force_exclusive) and must leave the base database untouched — no
-// new base relations, no version bumps, regardless of technique.
+// answer-for-answer identical to EvaluateQuery run directly on an
+// identically seeded private Database (the pre-overlay semantics,
+// where derived relations land in the base) and must leave the base
+// database untouched — no new base relations, no version bumps,
+// regardless of technique.
 
 #include <algorithm>
 #include <string>
@@ -10,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ast/parser.h"
 #include "common/strings.h"
+#include "core/planner.h"
 #include "service/query_service.h"
 #include "workload/graph_gen.h"
 
@@ -24,13 +28,17 @@ constexpr const char* kTcProgram =
     "rtc(X, Y) :- edge(Z, X), rtc(Z, Y).\n"
     "sg(X, Y) :- edge(P, X), edge(P, Y).\n";
 
-void Seed(QueryService* service) {
+void SeedGraph(Database* db) {
   GraphOptions graph;
   graph.num_nodes = 60;
   graph.num_edges = 150;
   graph.acyclic = true;
   graph.seed = 17;
-  GenerateGraph(&service->db(), "edge", graph);
+  GenerateGraph(db, "edge", graph);
+}
+
+void Seed(QueryService* service) {
+  SeedGraph(&service->db());
   UpdateResponse rules = service->Update(kTcProgram);
   ASSERT_TRUE(rules.status.ok()) << rules.status;
 }
@@ -55,6 +63,30 @@ std::string Flatten(const QueryResponse& response) {
   return flat;
 }
 
+/// The reference answers of `text`: EvaluateQuery on a private,
+/// identically seeded Database, flattened like Flatten().
+std::string ReferenceAnswers(const std::string& text) {
+  Database db;
+  SeedGraph(&db);
+  Status rules = ParseProgram(kTcProgram, &db.program());
+  EXPECT_TRUE(rules.ok()) << rules;
+  StatusOr<Query> query = ParseQueryOnly(text, &db.program());
+  EXPECT_TRUE(query.ok()) << text << ": " << query.status();
+  if (!query.ok()) return "";
+  StatusOr<QueryResult> result = EvaluateQuery(&db, *query);
+  EXPECT_TRUE(result.ok()) << text << ": " << result.status();
+  if (!result.ok()) return "";
+  std::string flat;
+  for (const Tuple& row : result->answers) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i > 0) flat += ",";
+      flat += db.pool().ToString(row[i]);
+    }
+    flat += ";";
+  }
+  return flat;
+}
+
 /// Sorted (pred, version) snapshot of every base relation.
 std::vector<std::pair<PredId, uint64_t>> BaseSnapshot(Database* db) {
   std::vector<std::pair<PredId, uint64_t>> snapshot;
@@ -65,40 +97,23 @@ std::vector<std::pair<PredId, uint64_t>> BaseSnapshot(Database* db) {
   return snapshot;
 }
 
-TEST(ServiceOverlayTest, OverlayMatchesExclusiveAndBaseStaysFrozen) {
+TEST(ServiceOverlayTest, OverlayMatchesReferenceAndBaseStaysFrozen) {
   QueryService service;
   Seed(&service);
   const std::vector<std::pair<PredId, uint64_t>> before =
       BaseSnapshot(&service.db());
   ASSERT_FALSE(before.empty());
 
-  // Overlay path first (the default): byte answers recorded, base
-  // checked after every query — the overlay must never leak into it.
+  // Every answer byte-identical to the reference, and the base checked
+  // after every query — the overlay must never leak into it.
   RequestOptions overlay;
   overlay.bypass_cache = true;
-  std::vector<std::string> overlay_answers;
-  for (const std::string& text : Queries()) {
+  const std::vector<std::string> queries = Queries();
+  for (const std::string& text : queries) {
     QueryResponse r = service.Query(text, overlay);
     ASSERT_TRUE(r.status.ok()) << text << ": " << r.status;
-    overlay_answers.push_back(Flatten(r));
+    EXPECT_EQ(Flatten(r), ReferenceAnswers(text)) << text;
     EXPECT_EQ(BaseSnapshot(&service.db()), before) << text;
-  }
-
-  // Exclusive baseline second: identical answers, byte for byte. The
-  // baseline keeps the pre-overlay semantics — derived relations
-  // persist in the base — so each query gets a pristine, identically
-  // seeded service (overlay queries start pristine by construction).
-  RequestOptions exclusive;
-  exclusive.bypass_cache = true;
-  exclusive.force_exclusive = true;
-  const std::vector<std::string> queries = Queries();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    QueryService baseline;
-    Seed(&baseline);
-    QueryResponse r = baseline.Query(queries[i], exclusive);
-    ASSERT_TRUE(r.status.ok()) << queries[i] << ": " << r.status;
-    EXPECT_EQ(Flatten(r), overlay_answers[i]) << queries[i];
-    EXPECT_EQ(baseline.stats().exclusive_evals, 1);
   }
 
   ServiceStats stats = service.stats();

@@ -1,88 +1,23 @@
 // TcpServer smoke test: real sockets on loopback, the csdd line
-// protocol, concurrent client connections, clean shutdown. This suite
-// pins the legacy thread-per-connection mode (its reaping invariants
-// are threaded-specific); tests/net_server_test.cc covers the epoll
-// mode and the threaded-vs-epoll differential.
+// protocol, concurrent client connections, connection churn, clean
+// shutdown. tests/net_server_test.cc covers the epoll engine itself
+// and the golden transcripts.
 
 #include "service/server.h"
 
-#include <arpa/inet.h>
 #include <dirent.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/blocking_client.h"
+
 namespace chainsplit {
 namespace {
-
-/// A minimal blocking client for the "."-framed line protocol.
-class Client {
- public:
-  explicit Client(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool connected() const { return connected_; }
-
-  bool Send(const std::string& text) {
-    return ::send(fd_, text.data(), text.size(), 0) ==
-           static_cast<ssize_t>(text.size());
-  }
-
-  /// Hard-closes the connection with an RST (SO_LINGER zero), so the
-  /// server's next send on this connection fails — the banner-failure
-  /// path of ServeConnection.
-  void Abort() {
-    if (fd_ < 0) return;
-    struct linger lg {
-      1, 0
-    };
-    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-    ::close(fd_);
-    fd_ = -1;
-  }
-
-  /// Reads until the lone "." terminator line; returns the response
-  /// without it (empty string on disconnect).
-  std::string ReadResponse() {
-    std::string response;
-    while (true) {
-      size_t newline;
-      while ((newline = buffer_.find('\n')) != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        if (line == ".") return response;
-        response += line;
-        response += "\n";
-      }
-      char chunk[1024];
-      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buffer_;
-};
 
 /// Open descriptors of this process, via /proc/self/fd.
 int CountOpenFds() {
@@ -112,19 +47,17 @@ TEST(ServiceServerTest, ServesQueriesOverTcp) {
       "tc(A, B) :- edge(A, C), tc(C, B).\n");
   ASSERT_TRUE(seeded.status.ok());
 
-  ServerOptions threaded;
-  threaded.mode = ServerOptions::Mode::kThreaded;
-  TcpServer server(&service, threaded);
+  TcpServer server(&service);
   StatusOr<int> port = server.Start(0);  // ephemeral
   ASSERT_TRUE(port.ok()) << port.status();
   ASSERT_GT(*port, 0);
 
-  Client client(*port);
+  BlockingClient client("127.0.0.1", *port);
   ASSERT_TRUE(client.connected());
-  EXPECT_NE(client.ReadResponse().find("ready"), std::string::npos);
+  EXPECT_NE(client.ReadFrame().find("ready"), std::string::npos);
 
   ASSERT_TRUE(client.Send("?- tc(x, Y).\n"));
-  std::string answer = client.ReadResponse();
+  std::string answer = client.ReadFrame();
   EXPECT_NE(answer.find("Y = y"), std::string::npos) << answer;
   EXPECT_NE(answer.find("Y = z"), std::string::npos) << answer;
   EXPECT_NE(answer.find("2 answer(s)"), std::string::npos) << answer;
@@ -133,20 +66,20 @@ TEST(ServiceServerTest, ServesQueriesOverTcp) {
   // second query of the same text was served from the result cache
   // before the update and recomputed after.
   ASSERT_TRUE(client.Send("edge(z, w).\n"));
-  client.ReadResponse();
+  client.ReadFrame();
   ASSERT_TRUE(client.Send("?- tc(x, Y).\n"));
-  answer = client.ReadResponse();
+  answer = client.ReadFrame();
   EXPECT_NE(answer.find("Y = w"), std::string::npos) << answer;
   EXPECT_NE(answer.find("3 answer(s)"), std::string::npos) << answer;
 
   // Errors are reported in-band, not by dropping the connection.
   ASSERT_TRUE(client.Send("p(a&.\n"));
-  EXPECT_NE(client.ReadResponse().find("parse error"), std::string::npos);
+  EXPECT_NE(client.ReadFrame().find("parse error"), std::string::npos);
 
   // Multi-line clause accumulation works over the wire too.
   ASSERT_TRUE(client.Send("?- tc(x,\n"));
   ASSERT_TRUE(client.Send("Y).\n"));
-  EXPECT_NE(client.ReadResponse().find("3 answer(s)"), std::string::npos);
+  EXPECT_NE(client.ReadFrame().find("3 answer(s)"), std::string::npos);
 
   server.Stop();
 }
@@ -162,9 +95,7 @@ TEST(ServiceServerTest, ConcurrentClientsGetConsistentAnswers) {
   }
   ASSERT_TRUE(service.Update(text).status.ok());
 
-  ServerOptions threaded;
-  threaded.mode = ServerOptions::Mode::kThreaded;
-  TcpServer server(&service, threaded);
+  TcpServer server(&service);
   StatusOr<int> port = server.Start(0);
   ASSERT_TRUE(port.ok()) << port.status();
 
@@ -172,13 +103,13 @@ TEST(ServiceServerTest, ConcurrentClientsGetConsistentAnswers) {
   std::vector<int> answer_counts(6, -1);
   for (int c = 0; c < 6; ++c) {
     clients.emplace_back([&, c] {
-      Client client(*port);
+      BlockingClient client("127.0.0.1", *port);
       if (!client.connected()) return;
-      client.ReadResponse();  // banner
+      client.ReadFrame();  // banner
       int last = -1;
       for (int i = 0; i < 10; ++i) {
         if (!client.Send("?- tc(a0, Y).\n")) return;
-        std::string answer = client.ReadResponse();
+        std::string answer = client.ReadFrame();
         if (answer.find("20 answer(s)") != std::string::npos) last = 20;
       }
       answer_counts[c] = last;
@@ -194,39 +125,38 @@ TEST(ServiceServerTest, ConcurrentClientsGetConsistentAnswers) {
   EXPECT_TRUE(service.Query("?- tc(a0, Y).").status.ok());
 }
 
-/// Connection churn must not leak fds or thread handles: clients that
-/// quit cleanly, vanish silently, or RST the server mid-banner (the
-/// historical fd-leak path) all leave the process at its baseline fd
-/// count, and finished connection threads get reaped instead of
-/// accumulating until Stop().
-TEST(ServiceServerTest, ConnectionChurnLeaksNoFdsOrThreads) {
+/// Connection churn must not leak fds or connection state: clients
+/// that quit cleanly, vanish silently, or RST the server mid-banner
+/// all leave the server with no active connections and the process at
+/// its baseline fd count.
+TEST(ServiceServerTest, ConnectionChurnLeaksNoFds) {
   QueryService service;
   ASSERT_TRUE(service.Update("p(a).").status.ok());
-  ServerOptions threaded;
-  threaded.mode = ServerOptions::Mode::kThreaded;
-  TcpServer server(&service, threaded);
+  TcpServer server(&service);
   StatusOr<int> port = server.Start(0);
   ASSERT_TRUE(port.ok()) << port.status();
+  auto active = [&server] {
+    return server.net_counters().active_connections.load();
+  };
 
   {
-    Client warm(*port);  // settle lazy allocations into the baseline
+    BlockingClient warm("127.0.0.1", *port);  // settle lazy allocations
     ASSERT_TRUE(warm.connected());
-    warm.ReadResponse();
+    warm.ReadFrame();
   }
-  ASSERT_TRUE(EventuallyTrue(
-      [&] { return server.tracked_connection_threads() <= 1; }));
+  ASSERT_TRUE(EventuallyTrue([&] { return active() == 0; }));
   const int fds_before = CountOpenFds();
   ASSERT_GT(fds_before, 0);
 
   constexpr int kChurn = 45;
   for (int i = 0; i < kChurn; ++i) {
-    Client client(*port);
+    BlockingClient client("127.0.0.1", *port);
     ASSERT_TRUE(client.connected()) << "connection " << i;
     switch (i % 3) {
       case 0:  // polite: banner, :quit, server closes
-        client.ReadResponse();
+        client.ReadFrame();
         client.Send(":quit\n");
-        client.ReadResponse();
+        client.ReadFrame();
         break;
       case 1:  // vanishing: close without ever reading
         break;
@@ -236,45 +166,30 @@ TEST(ServiceServerTest, ConnectionChurnLeaksNoFdsOrThreads) {
     }
   }
 
-  // One more connection cycles the accept loop, which reaps finished
-  // threads before blocking again.
-  ASSERT_TRUE(EventuallyTrue([&] {
-    Client probe(*port);
-    if (!probe.connected()) return false;
-    probe.ReadResponse();
-    probe.Send(":quit\n");
-    probe.ReadResponse();
-    return server.tracked_connection_threads() <= 2;
-  }));
-  EXPECT_LE(server.tracked_connection_threads(), 2)
-      << "dead connection threads must be reaped, not accumulated";
+  EXPECT_TRUE(EventuallyTrue([&] { return active() == 0; }))
+      << "active connections: " << active();
 
-  // All churned sockets must be closed again; allow a little slack for
-  // the final probe connection still draining.
+  // All churned sockets must be closed again.
   EXPECT_TRUE(EventuallyTrue([&] {
     int now = CountOpenFds();
-    return now >= 0 && now <= fds_before + 2;
+    return now >= 0 && now <= fds_before;
   })) << "fd count grew from " << fds_before << " to " << CountOpenFds();
 
   server.Stop();
 }
 
 /// A pipelined client that sends a burst of requests in one segment
-/// must get every response, in order — and the server drains the
-/// many-lines-in-one-recv buffer in linear time (read offset +
-/// one compaction per recv, not erase-per-line).
+/// must get every response, in order.
 TEST(ServiceServerTest, PipelinedClientGetsOrderedResponses) {
   QueryService service;
   ASSERT_TRUE(service.Update("p(a).\np(b).\nq(c).\n").status.ok());
-  ServerOptions threaded;
-  threaded.mode = ServerOptions::Mode::kThreaded;
-  TcpServer server(&service, threaded);
+  TcpServer server(&service);
   StatusOr<int> port = server.Start(0);
   ASSERT_TRUE(port.ok()) << port.status();
 
-  Client client(*port);
+  BlockingClient client("127.0.0.1", *port);
   ASSERT_TRUE(client.connected());
-  client.ReadResponse();  // banner
+  client.ReadFrame();  // banner
 
   constexpr int kRequests = 120;
   std::string burst;
@@ -283,7 +198,7 @@ TEST(ServiceServerTest, PipelinedClientGetsOrderedResponses) {
   }
   ASSERT_TRUE(client.Send(burst));
   for (int i = 0; i < kRequests; ++i) {
-    std::string answer = client.ReadResponse();
+    std::string answer = client.ReadFrame();
     if (i % 2 == 0) {
       EXPECT_NE(answer.find("2 answer(s)"), std::string::npos)
           << "request " << i << ": " << answer;

@@ -88,8 +88,9 @@ TEST(ServiceStressTest, ConcurrentUncachedReadersVsFactWriter) {
 }
 
 TEST(ServiceStressTest, ConcurrentMixedCachedAndUncached) {
-  // Cached hits, uncached overlay evaluations and exclusive-baseline
-  // evaluations interleaving on the same service.
+  // Cached hits, uncached overlay evaluations and exclusive-lock
+  // evaluations (the `?-` queries embedded in an update) interleaving
+  // on the same service.
   QueryService service;
   std::string seed = kRules;
   for (int i = 0; i < 20; ++i) {
@@ -103,17 +104,27 @@ TEST(ServiceStressTest, ConcurrentMixedCachedAndUncached) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&service, &failed, t] {
       for (int i = 0; i < 30; ++i) {
+        const std::string query = StrCat("?- tc(b", i % 20, ", Y).");
+        if (t == 3) {
+          UpdateResponse update = service.Update(query + "\n");
+          if (!update.status.ok() || update.query_responses.size() != 1 ||
+              !update.query_responses[0].status.ok() ||
+              update.query_responses[0].rows.size() !=
+                  static_cast<size_t>(20 - i % 20)) {
+            failed.store(true);
+          }
+          continue;
+        }
         RequestOptions request;
         if (t % 2 == 0) request.bypass_cache = true;
-        if (t == 3) request.force_exclusive = true;
-        QueryResponse response =
-            service.Query(StrCat("?- tc(b", i % 20, ", Y)."), request);
+        QueryResponse response = service.Query(query, request);
         if (!response.status.ok()) failed.store(true);
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(failed.load());
+  EXPECT_EQ(service.stats().exclusive_evals, 30);
 }
 
 }  // namespace

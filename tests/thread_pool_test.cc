@@ -242,14 +242,14 @@ TEST(ThreadPoolTest, ParallelHashJoinIsDeterministic) {
   Relation sequential(2);
   HashJoin(left, right, spec, out_cols, &sequential);  // below threshold
 
-  const int64_t batches_before = ParallelJoinBatches();
+  const int64_t batches_before = GetPartitionedJoinTelemetry().batches;
   const int64_t old_threshold = SetParallelJoinMinRows(1);
   ThreadPool pool(4);
   Relation parallel(2);
   HashJoin(left, right, spec, out_cols, &parallel, &pool);
   SetParallelJoinMinRows(old_threshold);
 
-  EXPECT_EQ(ParallelJoinBatches(), batches_before + 1);
+  EXPECT_EQ(GetPartitionedJoinTelemetry().batches, batches_before + 1);
   ASSERT_EQ(parallel.size(), sequential.size());
   ASSERT_GT(parallel.size(), 0);
   for (int64_t i = 0; i < parallel.size(); ++i) {
@@ -260,9 +260,11 @@ TEST(ThreadPoolTest, ParallelHashJoinIsDeterministic) {
 TEST(ThreadPoolTest, ParallelHashJoinRepeatsIdentically) {
   Relation left(2);
   Relation right(2);
-  for (TermId i = 0; i < 3000; ++i) {
-    left.Insert({i % 31, i});
-    right.Insert({i % 41, i % 31});
+  for (TermId i = 0; i < 600; ++i) left.Insert({i % 31, i});
+  // Build side at the partitioned-path floor, so every join below runs
+  // partitioned.
+  for (TermId i = 0; i < kMinPartitionedBuildRows; ++i) {
+    right.Insert({i, i % 31});
   }
   const JoinSpec spec({{0, 1}});
   const std::vector<int> out_cols = {0, 1, 2};

@@ -3,9 +3,8 @@
 //
 //   $ csdd [--serve PORT] [serving flags] [program.dl ...]
 //
-// Serving flags (apply to --serve and later :serve commands):
-//   --net-mode=epoll|threaded  front end: event loop + worker pool
-//                              (default) or thread-per-connection
+// Serving flags (apply to --serve and later :serve commands; the
+// server is one epoll event loop plus a dispatcher pool):
 //   --listen-addr=ADDR         IPv4 bind address (default 127.0.0.1)
 //   --listen-backlog=N         accept backlog (default 64)
 //   --net-workers=N            dispatcher pool size (0 = auto)
@@ -60,6 +59,9 @@
 // gracefully: stop accepting, drain in-flight requests, fsync the WAL,
 // exit 0.
 //
+// Any other argument starting with "--" is rejected with the usage
+// line (exit 1) before recovery or serving starts.
+//
 // Exit status: nonzero when any statement failed while loading files
 // (command line or :load) or while reading non-interactive stdin, so
 // batch pipelines observe errors.
@@ -81,6 +83,14 @@
 
 namespace chainsplit {
 namespace {
+
+constexpr const char* kUsage =
+    "usage: csdd [--serve PORT] [--listen-addr=ADDR] [--listen-backlog=N]\n"
+    "            [--net-workers=N] [--net-queue=N] [--max-line=BYTES]\n"
+    "            [--data-dir=DIR] [--wal-sync=always|interval|none]\n"
+    "            [--wal-sync-interval=MS] [--snapshot-every=N]\n"
+    "            [--slow-query-ms=N] [--slow-query-dir=DIR] [--trace]\n"
+    "            [--parallel-scc=N] [program.dl ...]\n";
 
 int Run(int argc, char** argv) {
   int serve_port = -1;
@@ -115,16 +125,6 @@ int Run(int argc, char** argv) {
       slow_query_dir = arg.substr(17);
     } else if (arg == "--trace") {
       trace_on = true;
-    } else if (StartsWith(arg, "--net-mode=")) {
-      std::string mode = arg.substr(11);
-      if (mode == "epoll") {
-        server_options.mode = ServerOptions::Mode::kEpoll;
-      } else if (mode == "threaded") {
-        server_options.mode = ServerOptions::Mode::kThreaded;
-      } else {
-        std::printf("error: --net-mode must be epoll or threaded\n");
-        return 1;
-      }
     } else if (StartsWith(arg, "--listen-addr=")) {
       server_options.listen_addr = arg.substr(14);
     } else if (StartsWith(arg, "--listen-backlog=")) {
@@ -140,18 +140,11 @@ int Run(int argc, char** argv) {
     } else if (StartsWith(arg, "--parallel-scc=")) {
       server_options.parallel_scc = std::atoi(arg.c_str() + 15);
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: csdd [--serve PORT] [--net-mode=epoll|threaded]\n"
-          "            [--listen-addr=ADDR] [--listen-backlog=N]\n"
-          "            [--net-workers=N] [--net-queue=N] "
-          "[--max-line=BYTES]\n"
-          "            [--data-dir=DIR] [--wal-sync=always|interval|none]\n"
-          "            [--wal-sync-interval=MS] [--snapshot-every=N]\n"
-          "            [--slow-query-ms=N] [--slow-query-dir=DIR] "
-          "[--trace]\n"
-          "            [--parallel-scc=N] [program.dl ...]\n%s",
-          Session::HelpText());
+      std::printf("%s%s", kUsage, Session::HelpText());
       return 0;
+    } else if (StartsWith(arg, "--")) {
+      std::printf("error: unknown flag %s\n%s", arg.c_str(), kUsage);
+      return 1;
     } else {
       files.push_back(std::move(arg));
     }
