@@ -93,16 +93,9 @@ std::optional<BoundedUnfolding> DetectBoundedRecursion(
   PredId exit_pred = program->InternPred(
       StrCat(program->preds().name(pred), "$exit"), n);
 
-  // Renamed exit rules (and exit facts).
+  // Renamed exit rules.
   for (const Rule* exit : exits) {
     Rule renamed = *exit;
-    renamed.head.pred = exit_pred;
-    unfolding.rules.push_back(std::move(renamed));
-  }
-  for (const Atom& fact : program->facts()) {
-    if (fact.pred != pred) continue;
-    Rule renamed;
-    renamed.head = fact;
     renamed.head.pred = exit_pred;
     unfolding.rules.push_back(std::move(renamed));
   }

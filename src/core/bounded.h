@@ -41,7 +41,9 @@ struct BoundedUnfolding {
 /// is permutation-bounded, returning the unfolded non-recursive rule
 /// set; nullopt when the pattern does not apply (the recursion then
 /// goes through chain compilation as usual). `max_period` guards
-/// against pathological permutation orders.
+/// against pathological permutation orders. `rules` should carry the
+/// IDB facts as body-less rules (AppendIdbFacts): `pred`'s facts are
+/// exit rules like any other.
 std::optional<BoundedUnfolding> DetectBoundedRecursion(
     Program* program, const std::vector<Rule>& rules, PredId pred,
     int max_period = 12);

@@ -70,12 +70,6 @@ StatusOr<CompiledChain> CompileChain(const Program& program,
                " has multiple recursive rules (multi-chain-form recursions"
                " are out of scope)"));
   }
-  // Ground clauses of the recursion predicate (e.g. isort([], []).)
-  // are stored as facts by the parser; as exit portions they are rules
-  // with an empty body.
-  for (const Atom& fact : program.facts()) {
-    if (fact.pred == pred) chain.exit_rules.push_back(Rule{fact, {}});
-  }
   if (chain.exit_rules.empty()) {
     return InvalidArgumentError(StrCat(program.preds().Display(pred),
                                        " has no exit rule"));

@@ -49,8 +49,10 @@ struct CompiledChain {
 /// (with exactly one recursive literal) plus >= 1 exit rules; otherwise
 /// kUnimplemented / kInvalidArgument.
 ///
-/// `rules` should be the rectified rule set; exit rules for `pred` and
-/// the recursive rule are collected from it.
+/// `rules` should be the rectified rule set with the IDB facts
+/// appended (AppendIdbFacts); exit rules for `pred`, including its
+/// ground clauses such as `isort([], []).`, and the recursive rule are
+/// collected from it.
 StatusOr<CompiledChain> CompileChain(const Program& program,
                                      const std::vector<Rule>& rules,
                                      PredId pred);

@@ -120,19 +120,10 @@ class PlanRun {
     } else {
       rectified_ = RectifyRules(&program_);
     }
-    // EDB facts of IDB predicates (e.g. `sg(tom, sue).` next to sg
-    // rules) participate in rule-based evaluation as body-less rules,
-    // so the adorned/magic program derives them into the adorned
-    // answer relations too.
-    {
-      std::unordered_set<PredId> idb;
-      for (const Rule& rule : rectified_) idb.insert(rule.head.pred);
-      for (const Atom& fact : program_.facts()) {
-        if (idb.count(fact.pred) > 0) {
-          rectified_.push_back(Rule{fact, {}});
-        }
-      }
-    }
+    // Facts of IDB predicates join as body-less rules, so the
+    // adorned/magic program derives them into the adorned answer
+    // relations and the chain compiler sees them as exit rules.
+    AppendIdbFacts(program_, &rectified_);
 
     if (options_.force.has_value()) {
       // Forced techniques (benchmarks, plan-cache replays) skip

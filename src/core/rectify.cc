@@ -1,5 +1,8 @@
 #include "core/rectify.h"
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "ast/builtin_names.h"
 #include "engine/builtins.h"
 
@@ -84,6 +87,20 @@ std::vector<Rule> RectifyRules(Program* program) {
     rectified.push_back(RectifyRule(program, rule));
   }
   return rectified;
+}
+
+void AppendIdbFacts(const Program& program, std::vector<Rule>* rules) {
+  std::unordered_set<PredId> idb;
+  std::vector<uint32_t> positions;
+  for (const Rule& rule : *rules) {
+    if (!idb.insert(rule.head.pred).second) continue;
+    const std::vector<uint32_t>& own = program.FactPositions(rule.head.pred);
+    positions.insert(positions.end(), own.begin(), own.end());
+  }
+  std::sort(positions.begin(), positions.end());
+  for (uint32_t position : positions) {
+    rules->push_back(Rule{program.facts()[position], {}});
+  }
 }
 
 Atom RectifyAtom(Program* program, const Atom& atom,

@@ -17,6 +17,7 @@ class ChainCompileTest : public ::testing::Test {
                                   std::string_view pred, int arity) {
     EXPECT_TRUE(ParseProgram(text, &program_).ok());
     rectified_ = RectifyRules(&program_);
+    AppendIdbFacts(program_, &rectified_);
     return CompileChain(program_, rectified_,
                         program_.preds().Find(pred, arity).value());
   }

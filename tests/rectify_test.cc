@@ -113,5 +113,25 @@ insert(X, [Y|Ys], [X, Y|Ys]) :- X =< Y.
   }
 }
 
+TEST_F(RectifyTest, AppendIdbFactsKeepsProgramOrder) {
+  Load(R"(
+q(b). e(a). p(a). e(b). q(a). p(b). e(c).
+p(X) :- e(X).
+q(X) :- p(X).
+)");
+  std::vector<Rule> rules = RectifyRules(&program_);
+  AppendIdbFacts(program_, &rules);
+  ASSERT_EQ(rules.size(), 6u);
+  std::vector<std::string> appended;
+  for (size_t i = 2; i < rules.size(); ++i) {
+    EXPECT_TRUE(rules[i].body.empty());
+    appended.push_back(RuleToString(program_, rules[i]));
+  }
+  // Facts of both IDB predicates, interleaved as in the program; the
+  // EDB facts of e stay out.
+  EXPECT_EQ(appended,
+            (std::vector<std::string>{"q(b).", "p(a).", "q(a).", "p(b)."}));
+}
+
 }  // namespace
 }  // namespace chainsplit

@@ -138,6 +138,35 @@ TEST(ServiceTest, FactUpdateInvalidatesDependentResults) {
   EXPECT_GE(stats.result_cache_invalidations, 2);
 }
 
+TEST(ServiceTest, FailedUpdateLeavesNoIndexedFactBehind) {
+  QueryService service;
+  UpdateResponse seeded = service.Update(
+      "sg(X, Y) :- sibling(X, Y).\n"
+      "sg(X, Y) :- parent(X, X1), sg(X1, Y1), parent(Y, Y1).\n"
+      "sibling(a, b). parent(c, a). sg(e, f). parent(d, b).\n");
+  ASSERT_TRUE(seeded.status.ok()) << seeded.status;
+  const Program& program = service.db().program();
+  const PredId sg = program.preds().Find("sg", 2).value();
+  const std::vector<uint32_t> positions = program.FactPositions(sg);
+  const size_t facts = program.facts().size();
+
+  // The parser appends sg(x, y) before it reaches the error.
+  UpdateResponse failed =
+      service.Update("sibling(x, z). sg(x, y). p(a) q(b).");
+  EXPECT_FALSE(failed.status.ok());
+  EXPECT_EQ(program.FactPositions(sg), positions);
+  EXPECT_EQ(program.facts().size(), facts);
+  QueryResponse none = service.Query("?- sg(x, Y).");
+  ASSERT_TRUE(none.status.ok()) << none.status;
+  EXPECT_EQ(Flatten(none), "");
+
+  ASSERT_TRUE(service.Update("sg(x, w).").status.ok());
+  EXPECT_EQ(program.FactPositions(sg).back(), facts);
+  QueryResponse one = service.Query("?- sg(x, Y).");
+  ASSERT_TRUE(one.status.ok()) << one.status;
+  EXPECT_EQ(Flatten(one), "w;");
+}
+
 TEST(ServiceTest, RuleUpdateDropsBothCaches) {
   QueryService service;
   SeedChain(&service, 5);
