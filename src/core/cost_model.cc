@@ -18,6 +18,12 @@ double EstimateJoinExpansion(const RelationStats& stats,
   return static_cast<double>(stats.cardinality) / denom;
 }
 
+CardinalityEstimator StatsEstimator(EvalDb* db) {
+  return [db](PredId pred, const std::string& adornment) {
+    return EstimateJoinExpansion(db->Stats(pred), adornment);
+  };
+}
+
 LinkageStrength ClassifyLinkage(double expansion_ratio,
                                 const CostModelOptions& options) {
   if (expansion_ratio <= options.follow_threshold) {

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "engine/adornment.h"
+#include "engine/grounder.h"
 #include "rel/catalog.h"
 
 namespace chainsplit {
@@ -26,9 +27,18 @@ struct CostModelOptions {
 ///   er = cardinality / prod_{c bound} distinct(c)
 ///
 /// With no bound argument the ratio is the full cardinality (an
-/// unrestricted scan). An empty relation has ratio 0.
+/// unrestricted scan). An empty relation has ratio 0. Magic and answer
+/// relations are empty when a fixpoint's rules are scheduled, so the
+/// join scheduler (`CompileRule`) never lets that 0 put an unbound
+/// scan ahead of a literal with a bound argument; the ratio only ranks
+/// literals of the same class.
 double EstimateJoinExpansion(const RelationStats& stats,
                              const std::string& adornment);
+
+/// The join scheduler's estimator over the statistics of `*db`:
+/// `EstimateJoinExpansion` of the predicate's relation, read at call
+/// time. `db` must outlive the estimator.
+CardinalityEstimator StatsEstimator(EvalDb* db);
 
 /// Result of the per-literal split decision, for diagnostics.
 enum class LinkageStrength { kStrong, kWeak, kBorderline };

@@ -294,10 +294,7 @@ class PlanRun {
                         sched.max_parallel, " max in flight)"));
     } else {
       if (options_.use_stats_ordering && seminaive.estimator == nullptr) {
-        EvalDb* db = db_;
-        seminaive.estimator = [db](PredId pred, const std::string& ad) {
-          return EstimateJoinExpansion(db->Stats(pred), ad);
-        };
+        seminaive.estimator = StatsEstimator(db_);
       }
       TraceSpan fixpoint_span(options_.trace, "fixpoint");
       fixpoint_span.Attr("technique",

@@ -61,9 +61,7 @@ SemiNaiveOptions StratumOptions(const SccScheduleOptions& options,
   sn.cancel = cancel;
   sn.trace = trace;
   if (options.use_stats_ordering && sn.estimator == nullptr) {
-    sn.estimator = [eval_db](PredId pred, const std::string& adornment) {
-      return EstimateJoinExpansion(eval_db->Stats(pred), adornment);
-    };
+    sn.estimator = StatsEstimator(eval_db);
   }
   return sn;
 }

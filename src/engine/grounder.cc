@@ -1,6 +1,7 @@
 #include "engine/grounder.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/strings.h"
 #include "term/unify.h"
@@ -85,10 +86,15 @@ StatusOr<CompiledRule> CompileRule(const Program& program, const Rule& rule,
   }
 
   // Greedy schedule: builtins as soon as they become evaluable (cheap
-  // deterministic filters), otherwise the relation literal with the
-  // most bound arguments (indexable probe). This is the engine-level
-  // finite-evaluability analysis: if it gets stuck, the rule cannot be
-  // evaluated bottom-up and needs chain-split first.
+  // deterministic filters), otherwise the cheapest relation literal.
+  // A literal with a bound argument (an indexable probe) always beats
+  // one with none (a scan); within a class the estimator's expansion
+  // ratio decides, else the bound-argument count. Estimates are read
+  // once, before the fixpoint, when magic and answer relations are
+  // empty or tiny, so a ratio alone would rank their scans ahead of
+  // bound probes. This is also the engine-level finite-evaluability
+  // analysis: if it gets stuck, the rule cannot be evaluated bottom-up
+  // and needs chain-split first.
   std::vector<bool> chosen(compiled.body.size(), false);
   std::vector<bool> slot_bound(compiled.slot_vars.size(), false);
 
@@ -117,16 +123,18 @@ StatusOr<CompiledRule> CompileRule(const Program& program, const Rule& rule,
         break;
       }
     }
-    // Pass 2: cheapest relation literal — by estimated join expansion
-    // when statistics are available (access-path selection), else by
-    // the most bound arguments.
+    // Pass 2: the relation literal with the smallest key (unbound,
+    // cost), where cost is the estimated join expansion when statistics
+    // are available (access-path selection), else minus the bound
+    // arguments. Ties keep source order.
     if (pick < 0) {
-      double best_cost = 0;
+      std::pair<bool, double> best_key;
       for (size_t i = 0; i < compiled.body.size(); ++i) {
         if (chosen[i] || compiled.body[i].builtin != BuiltinKind::kNone) {
           continue;
         }
         const CompiledLiteral& lit = compiled.body[i];
+        const int bound_args = CountBoundArgs(lit, slot_bound);
         double cost;
         if (estimator != nullptr) {
           std::string adornment;
@@ -136,10 +144,11 @@ StatusOr<CompiledRule> CompileRule(const Program& program, const Rule& rule,
           }
           cost = estimator(lit.pred, adornment);
         } else {
-          cost = -static_cast<double>(CountBoundArgs(lit, slot_bound));
+          cost = -static_cast<double>(bound_args);
         }
-        if (pick < 0 || cost < best_cost) {
-          best_cost = cost;
+        const std::pair<bool, double> key(bound_args == 0, cost);
+        if (pick < 0 || key < best_key) {
+          best_key = key;
           pick = static_cast<int>(i);
         }
       }

@@ -66,7 +66,8 @@ void Session::AppendQueryResponse(const QueryResponse& response,
   if (options_.show_stats) {
     *out += StrCat(
         "% seminaive: ", response.seminaive_stats.total_derived,
-        " derived in ", response.seminaive_stats.iterations,
+        " derived, ", response.seminaive_stats.counters.tuples_considered,
+        " considered in ", response.seminaive_stats.iterations,
         " iterations; buffered: ", response.buffered_stats.nodes, " states, ",
         response.buffered_stats.buffered_values,
         " buffered; sld: ", response.topdown_stats.steps, " steps\n");

@@ -46,4 +46,29 @@ GraphData GenerateChainGraph(Database* db, std::string_view edge_pred_name,
   return data;
 }
 
+GraphData GenerateLayeredDag(Database* db, std::string_view edge_pred_name,
+                             int layers, int width,
+                             std::string_view node_prefix) {
+  TermPool& pool = db->pool();
+  PredId edge = db->program().InternPred(edge_pred_name, 2);
+  GraphData data;
+  for (int i = 0; i < 1 + layers * width; ++i) {
+    data.nodes.push_back(pool.MakeSymbol(StrCat(node_prefix, i)));
+  }
+  auto link = [&](int from, int to) {
+    if (db->InsertFact(edge, {data.nodes[from], data.nodes[to]})) {
+      ++data.num_edges;
+    }
+  };
+  for (int i = 0; i < width; ++i) link(0, 1 + i);
+  for (int l = 0; l + 1 < layers; ++l) {
+    for (int i = 0; i < width; ++i) {
+      const int from = 1 + l * width + i;
+      link(from, 1 + (l + 1) * width + i);
+      link(from, 1 + (l + 1) * width + (i + 1) % width);
+    }
+  }
+  return data;
+}
+
 }  // namespace chainsplit

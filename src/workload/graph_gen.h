@@ -35,6 +35,14 @@ GraphData GenerateGraph(Database* db, std::string_view edge_pred_name,
 GraphData GenerateChainGraph(Database* db, std::string_view edge_pred_name,
                              int num_nodes, std::string_view node_prefix);
 
+/// A layered DAG (the shape of a deep transitive-closure query):
+/// nodes[0] links to the `width` nodes of layer 0, and node i of layer
+/// l to nodes i and i+1 (mod width) of layer l+1, for `layers` layers.
+/// Layer l's node i is nodes[1 + l * width + i].
+GraphData GenerateLayeredDag(Database* db, std::string_view edge_pred_name,
+                             int layers, int width,
+                             std::string_view node_prefix);
+
 }  // namespace chainsplit
 
 #endif  // CHAINSPLIT_WORKLOAD_GRAPH_GEN_H_

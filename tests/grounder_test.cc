@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "ast/parser.h"
 #include "rel/catalog.h"
 
@@ -179,6 +183,59 @@ TEST_F(GrounderTest, GroundCompoundConstantsInRelations) {
                            Lookup(), -1, nullptr, &out, &counters)
                   .ok());
   EXPECT_EQ(out.size(), 1);
+}
+
+// The magic rule of tc(root, Y) after the rewrite. Body literals:
+// 0 = m_tc_bf(X), 1 = edge(X, Z), 2 = tc_bf(Z, Y).
+constexpr std::string_view kMagicTcRule =
+    "tc_bf(X, Y) :- m_tc_bf(X), edge(X, Z), tc_bf(Z, Y).";
+
+// Estimates as the planner sees them before the fixpoint: the magic
+// and answer relations are empty (ratio 0), edge is large and expands
+// by 2 per bound endpoint.
+CardinalityEstimator PreFixpointEstimator(const PredicateTable& preds) {
+  const PredId edge = preds.Find("edge", 2).value();
+  return [edge](PredId pred, const std::string& adornment) {
+    if (pred != edge) return 0.0;
+    return adornment == "ff" ? 158400.0 : 2.0;
+  };
+}
+
+TEST_F(GrounderTest, DeltaVariantProbesEdgeBeforeUnboundMagicScan) {
+  Rule rule = ParseRule(kMagicTcRule);
+  auto compiled =
+      CompileRule(db_.program(), rule, /*first_literal=*/2,
+                  PreFixpointEstimator(db_.program().preds()));
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  // m_tc_bf(X) is estimated at 0 but binds nothing; edge(X, Z) has Z
+  // bound by the delta, so it runs first and m_tc_bf becomes a probe.
+  EXPECT_EQ(compiled->order, (std::vector<int>{2, 1, 0}));
+}
+
+TEST_F(GrounderTest, InitVariantScansSeedBeforeLargeRelation) {
+  Rule rule = ParseRule(kMagicTcRule);
+  auto compiled = CompileRule(db_.program(), rule, /*first_literal=*/-1,
+                              PreFixpointEstimator(db_.program().preds()));
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  // Every literal starts unbound, so the estimates alone decide: the
+  // small seed relation is scanned before the 158,400-row edge scan,
+  // which then becomes a bound probe.
+  EXPECT_EQ(compiled->order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST_F(GrounderTest, NoEstimatorOrdersByBoundArguments) {
+  Rule rule = ParseRule(kMagicTcRule);
+  auto delta = CompileRule(db_.program(), rule, /*first_literal=*/2);
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  EXPECT_EQ(delta->order, (std::vector<int>{2, 1, 0}));
+  auto init = CompileRule(db_.program(), rule);
+  ASSERT_TRUE(init.ok()) << init.status();
+  EXPECT_EQ(init->order, (std::vector<int>{0, 1, 2}));
+  // More bound arguments win; a constant counts as bound.
+  Rule consts = ParseRule("q(X, Y) :- e(X, Y), f(a, Y), g(a, b, X).");
+  auto compiled = CompileRule(db_.program(), consts);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_EQ(compiled->order, (std::vector<int>{2, 0, 1}));
 }
 
 }  // namespace
