@@ -61,7 +61,7 @@ void CountingMethod(benchmark::State& state) {
   status = db.LoadProgramFacts();
   CS_CHECK(status.ok()) << status;
   std::vector<Rule> rectified = RectifyRules(&db.program());
-  AppendIdbFacts(db.program(), &rectified);
+  AppendIdbFacts(db, &rectified);
   auto chain = CompileChain(db.program(), rectified,
                             db.program().preds().Find("isort", 2).value());
   CS_CHECK(chain.ok()) << chain.status();

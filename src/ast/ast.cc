@@ -1,39 +1,6 @@
 #include "ast/ast.h"
 
-#include <limits>
-
-#include "common/logging.h"
-
 namespace chainsplit {
-
-void Program::AddFact(Atom fact) {
-  CS_CHECK(fact.pred >= 0);
-  CS_CHECK(facts_.size() < std::numeric_limits<uint32_t>::max());
-  if (static_cast<size_t>(fact.pred) >= fact_positions_.size()) {
-    fact_positions_.resize(fact.pred + 1);
-  }
-  fact_positions_[fact.pred].push_back(static_cast<uint32_t>(facts_.size()));
-  facts_.push_back(std::move(fact));
-}
-
-const std::vector<uint32_t>& Program::FactPositions(PredId pred) const {
-  static const std::vector<uint32_t> kNone;
-  if (pred < 0 || static_cast<size_t>(pred) >= fact_positions_.size()) {
-    return kNone;
-  }
-  return fact_positions_[pred];
-}
-
-void Program::RollbackTo(const Marker& marker) {
-  rules_.resize(marker.rules);
-  // Each predicate's positions ascend, so the dropped facts' positions
-  // are at the back of their lists.
-  while (facts_.size() > marker.facts) {
-    fact_positions_[facts_.back().pred].pop_back();
-    facts_.pop_back();
-  }
-  queries_.resize(marker.queries);
-}
 
 bool Program::HasFiniteMode(PredId pred, const std::string& boundness) const {
   auto it = finite_modes_.find(pred);

@@ -58,17 +58,13 @@ class Program {
   }
 
   void AddRule(Rule rule) { rules_.push_back(std::move(rule)); }
-  void AddFact(Atom fact);
+  void AddFact(Atom fact) { facts_.push_back(std::move(fact)); }
   void AddQuery(Query query) { queries_.push_back(std::move(query)); }
 
   const std::vector<Rule>& rules() const { return rules_; }
   std::vector<Rule>& mutable_rules() { return rules_; }
   const std::vector<Atom>& facts() const { return facts_; }
   const std::vector<Query>& queries() const { return queries_; }
-
-  /// Positions in facts() of the facts of `pred`, ascending. Lets a
-  /// query find one predicate's facts without walking the whole list.
-  const std::vector<uint32_t>& FactPositions(PredId pred) const;
 
   /// Rollback support for transactional parsing: the parser appends
   /// clauses as it goes, so a parse error mid-text leaves a half-applied
@@ -85,7 +81,11 @@ class Program {
   Marker Mark() const {
     return Marker{rules_.size(), facts_.size(), queries_.size()};
   }
-  void RollbackTo(const Marker& marker);
+  void RollbackTo(const Marker& marker) {
+    rules_.resize(marker.rules);
+    facts_.resize(marker.facts);
+    queries_.resize(marker.queries);
+  }
 
   /// All declared finiteness constraints (snapshot serialization).
   const std::unordered_map<PredId, std::vector<std::string>>& finite_modes()
@@ -123,9 +123,6 @@ class Program {
   PredicateTable preds_;
   std::vector<Rule> rules_;
   std::vector<Atom> facts_;
-  // fact_positions_[pred]: FactPositions(pred). 32-bit positions keep
-  // the index at 4 bytes per fact.
-  std::vector<std::vector<uint32_t>> fact_positions_;
   std::vector<Query> queries_;
   std::unordered_map<PredId, std::vector<std::string>> finite_modes_;
 };

@@ -123,7 +123,7 @@ class PlanRun {
     // Facts of IDB predicates join as body-less rules, so the
     // adorned/magic program derives them into the adorned answer
     // relations and the chain compiler sees them as exit rules.
-    AppendIdbFacts(program_, &rectified_);
+    AppendIdbFacts(*db_, &rectified_);
 
     if (options_.force.has_value()) {
       // Forced techniques (benchmarks, plan-cache replays) skip

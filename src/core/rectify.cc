@@ -1,6 +1,5 @@
 #include "core/rectify.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "ast/builtin_names.h"
@@ -89,17 +88,15 @@ std::vector<Rule> RectifyRules(Program* program) {
   return rectified;
 }
 
-void AppendIdbFacts(const Program& program, std::vector<Rule>* rules) {
+void AppendIdbFacts(const EvalDb& db, std::vector<Rule>* rules) {
   std::unordered_set<PredId> idb;
-  std::vector<uint32_t> positions;
-  for (const Rule& rule : *rules) {
-    if (!idb.insert(rule.head.pred).second) continue;
-    const std::vector<uint32_t>& own = program.FactPositions(rule.head.pred);
-    positions.insert(positions.end(), own.begin(), own.end());
-  }
-  std::sort(positions.begin(), positions.end());
-  for (uint32_t position : positions) {
-    rules->push_back(Rule{program.facts()[position], {}});
+  for (size_t r = 0, num_rules = rules->size(); r < num_rules; ++r) {
+    const PredId pred = (*rules)[r].head.pred;
+    const Relation* rel =
+        idb.insert(pred).second ? db.GetRelation(pred) : nullptr;
+    for (int64_t i = 0; rel != nullptr && i < rel->num_rows(); ++i) {
+      rules->push_back(Rule{Atom{pred, rel->row(i)}, {}});
+    }
   }
 }
 

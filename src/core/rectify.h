@@ -5,6 +5,7 @@
 
 #include "ast/ast.h"
 #include "common/status.h"
+#include "rel/catalog.h"
 
 namespace chainsplit {
 
@@ -30,13 +31,12 @@ Rule RectifyRule(Program* program, const Rule& rule);
 /// they are ground). The program itself is not modified.
 std::vector<Rule> RectifyRules(Program* program);
 
-/// Appends the facts of the IDB predicates of `*rules` (the heads)
-/// as body-less rules, in program order: a fact such as
-/// `sg(tom, sue).` next to `sg` rules, or the exit clause
-/// `isort([], []).`, takes part in rule-based evaluation like any
-/// other exit rule. Costs time in those predicates' facts, not in the
-/// whole fact list.
-void AppendIdbFacts(const Program& program, std::vector<Rule>* rules);
+/// Appends the stored rows of the IDB predicates of `*rules` (the
+/// heads) as body-less rules, predicate by predicate in row (insertion)
+/// order: a fact such as `sg(tom, sue).` next to `sg` rules, a row
+/// loaded with `:csv`, or the exit clause `isort([], []).` takes part
+/// in rule-based evaluation like any other exit rule, as it does in SLD.
+void AppendIdbFacts(const EvalDb& db, std::vector<Rule>* rules);
 
 /// Rectifies a query atom: non-ground compound arguments become fresh
 /// variables with functional goals appended to `*extra_goals`.

@@ -1,8 +1,5 @@
 #include "engine/topdown.h"
 
-#include <pthread.h>
-
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -12,8 +9,11 @@
 
 namespace chainsplit {
 
-/// One Solve() call: goal stack + substitution with trail-based
-/// backtracking.
+/// One Solve() call: an iterative SLD machine. The resolvent is a list
+/// of arena goals linked to their continuations. A goal's choice point
+/// holds trail and arena marks and a cursor over its fact rows, then
+/// its rules; taking the last alternative pops it. So a unit of depth
+/// adds at most a choice point, a goal per body literal and a unifier.
 class TopDownEvaluator::Impl {
  public:
   Impl(EvalDb* db, const TopDownOptions& options, TopDownStats* stats,
@@ -26,132 +26,153 @@ class TopDownEvaluator::Impl {
         on_solution_(on_solution) {}
 
   Status Run(const std::vector<Atom>& goals) {
-    // The stack holds pending goals, top = next to prove.
-    for (size_t i = goals.size(); i-- > 0;) stack_.push_back(goals[i]);
-    return Prove();
+    int32_t resolvent = kNoGoal;
+    for (size_t i = goals.size(); i-- > 0;) {
+      resolvent = PushGoal(goals[i].pred, goals[i].args, resolvent);
+    }
+    int64_t depth = 0;  // resolution steps on the current branch
+    bool live = true;
+    while (stats_->solutions < options_.max_solutions &&
+           (live || Backtrack(&resolvent, &depth))) {
+      live = false;
+      if (resolvent == kNoGoal) {
+        ++stats_->solutions;
+        on_solution_(subst_);
+        continue;
+      }
+      if (++stats_->steps > options_.max_steps) {
+        return ResourceExhaustedError(StrCat(
+            "top-down evaluation exceeded ", options_.max_steps,
+            " goal expansions"));
+      }
+      if ((stats_->steps & 1023) == 0) {
+        CS_RETURN_IF_ERROR(CheckCancel(options_.cancel));
+      }
+      if (depth >= options_.max_depth) {
+        return ResourceExhaustedError(
+            StrCat("top-down derivation exceeded depth ", options_.max_depth,
+                   " (non-terminating recursion?)"));
+      }
+      stats_->deepest = std::max(stats_->deepest, ++depth);
+      const Goal goal = goals_[resolvent];
+      if (IsBuiltinPred(preds_, goal.pred)) {
+        CS_RETURN_IF_ERROR(EvalBuiltin(
+            pool_, preds_, goal.pred,
+            std::span<const TermId>(args_.data() + goal.args, goal.arity),
+            &subst_, &live));
+        resolvent = goal.next;
+        continue;
+      }
+      // Open the goal's alternatives for Backtrack to try, probing its
+      // fact rows on the columns its resolved arguments bind.
+      Choice choice{.goal = resolvent, .depth = depth,
+                    .trail = subst_.LogSize(), .goal_mark = goals_.size(),
+                    .arg_mark = args_.size()};
+      const Relation* rel = db_->GetRelation(goal.pred);
+      if (rel != nullptr && !rel->empty()) {
+        choice.rel = rel;
+        columns_.clear();
+        key_.clear();
+        for (uint32_t c = 0; c < goal.arity; ++c) {
+          TermId arg = subst_.Resolve(args_[goal.args + c], pool_);
+          if (pool_.IsGround(arg)) {
+            columns_.push_back(static_cast<int>(c));
+            key_.push_back(arg);
+          }
+        }
+        if (columns_.empty()) {
+          choice.end = rel->num_rows();
+        } else {
+          choice.postings = rel->Probe(columns_, key_);
+          choice.posting = choice.postings.begin();
+        }
+      }
+      auto [rules, fresh] = rules_.try_emplace(goal.pred);
+      if (fresh) rules->second = db_->program().RulesFor(goal.pred);
+      choice.rules = &rules->second;
+      if (!choice.Exhausted()) choices_.push_back(choice);
+    }
+    return Status::Ok();
   }
 
  private:
-  bool Done() const { return stats_->solutions >= options_.max_solutions; }
+  static constexpr int32_t kNoGoal = -1;
 
-  Status Prove() {
-    if (Done()) return Status::Ok();
-    if (stack_.empty()) {
-      ++stats_->solutions;
-      on_solution_(subst_);
-      return Status::Ok();
-    }
-    if (++stats_->steps > options_.max_steps) {
-      return ResourceExhaustedError(
-          StrCat("top-down evaluation exceeded ", options_.max_steps,
-                 " goal expansions"));
-    }
-    if ((stats_->steps & 1023) == 0) {
-      CS_RETURN_IF_ERROR(CheckCancel(options_.cancel));
-    }
-    stats_->deepest =
-        std::max(stats_->deepest, static_cast<int64_t>(stack_.size()));
-    if (static_cast<int64_t>(stack_.size()) > options_.max_depth) {
-      return ResourceExhaustedError(
-          StrCat("top-down goal stack exceeded depth ", options_.max_depth,
-                 " (non-terminating recursion?)"));
-    }
+  struct Goal {
+    PredId pred;
+    int32_t next;   // continuation: the goal proved after this one
+    uint32_t args;  // offset of the arguments in args_
+    uint32_t arity;
+  };
 
-    Atom goal = stack_.back();
-    stack_.pop_back();
+  /// A selected goal's untried alternatives: the rows of `rel` (a scan
+  /// of [row, end) or a probe's postings), then its rules.
+  struct Choice {
+    int32_t goal = kNoGoal;
+    int64_t depth = 0;
+    size_t trail = 0, goal_mark = 0, arg_mark = 0;
+    const Relation* rel = nullptr;
+    int64_t row = 0, end = 0;
+    Relation::Postings postings{};
+    Relation::Postings::const_iterator posting{};
+    const std::vector<const Rule*>* rules = nullptr;
+    size_t next_rule = 0;
 
-    Status status = Status::Ok();
-    if (IsBuiltinPred(preds_, goal.pred)) {
-      status = ProveBuiltin(goal);
-    } else {
-      status = ProveFacts(goal);
-      if (status.ok()) status = ProveRules(goal);
-    }
-    stack_.push_back(std::move(goal));
-    return status;
+    bool RowsLeft() const { return row < end || posting != postings.end(); }
+    bool Exhausted() const { return !RowsLeft() && next_rule == rules->size(); }
+  };
+
+  int32_t PushGoal(PredId pred, std::span<const TermId> args, int32_t next) {
+    goals_.push_back(Goal{pred, next, static_cast<uint32_t>(args_.size()),
+                          static_cast<uint32_t>(args.size())});
+    args_.insert(args_.end(), args.begin(), args.end());
+    return static_cast<int32_t>(goals_.size() - 1);
   }
 
-  Status ProveBuiltin(const Atom& goal) {
-    size_t mark = subst_.LogSize();
-    bool ok = false;
-    CS_RETURN_IF_ERROR(
-        EvalBuiltin(pool_, preds_, goal.pred, goal.args, &subst_, &ok));
-    Status status = ok ? Prove() : Status::Ok();
-    subst_.RollbackTo(mark);
-    return status;
-  }
-
-  Status ProveFacts(const Atom& goal) {
-    const Relation* rel = db_->GetRelation(goal.pred);
-    if (rel == nullptr || rel->empty()) return Status::Ok();
-
-    // Probe on the columns whose resolved goal argument is ground.
-    std::vector<int> bound_columns;
-    Tuple key;
-    std::vector<TermId> resolved(goal.args.size());
-    for (size_t c = 0; c < goal.args.size(); ++c) {
-      resolved[c] = subst_.Resolve(goal.args[c], pool_);
-      if (pool_.IsGround(resolved[c])) {
-        bound_columns.push_back(static_cast<int>(c));
-        key.push_back(resolved[c]);
-      }
-    }
-
-    auto try_row = [&](Relation::Row row) -> Status {
-      size_t mark = subst_.LogSize();
+  /// Tries the untried alternatives of the latest choice points in
+  /// order (each has one). True once one unifies, with `*resolvent` the
+  /// new goal list; false when no choice point is left.
+  bool Backtrack(int32_t* resolvent, int64_t* depth) {
+    while (!choices_.empty()) {
+      Choice& choice = choices_.back();
+      subst_.RollbackTo(choice.trail);
+      goals_.resize(choice.goal_mark);
+      args_.resize(choice.arg_mark);
+      *depth = choice.depth;
+      const Goal goal = goals_[choice.goal];
+      const Relation* rel = choice.RowsLeft() ? choice.rel : nullptr;
+      const Rule* rule =
+          rel != nullptr ? nullptr : (*choice.rules)[choice.next_rule++];
+      const int64_t row = rel == nullptr          ? 0
+                          : choice.row < choice.end ? choice.row++
+                                                    : *choice.posting++;
+      if (choice.Exhausted()) choices_.pop_back();
       bool ok = true;
-      for (size_t c = 0; c < row.size() && ok; ++c) {
-        ok = Unify(pool_, resolved[c], row[c], &subst_);
-      }
-      Status status = ok ? Prove() : Status::Ok();
-      subst_.RollbackTo(mark);
-      return status;
-    };
-
-    if (bound_columns.empty()) {
-      for (int64_t i = 0; i < rel->num_rows() && !Done(); ++i) {
-        CS_RETURN_IF_ERROR(try_row(rel->row(i)));
-      }
-    } else {
-      Status status = Status::Ok();
-      rel->ProbeEach(bound_columns, key.data(), [&](int64_t i) {
-        if (!status.ok() || Done()) return;
-        status = try_row(rel->row(i));
-      });
-      CS_RETURN_IF_ERROR(status);
-    }
-    return Status::Ok();
-  }
-
-  Status ProveRules(const Atom& goal) {
-    for (const Rule* rule : db_->program().RulesFor(goal.pred)) {
-      if (Done()) break;
-      size_t mark = subst_.LogSize();
-      // Standardize the rule apart.
-      std::unordered_map<TermId, TermId> renaming;
-      bool ok = true;
-      for (size_t a = 0; a < goal.args.size() && ok; ++a) {
-        TermId head_arg = RenameApart(pool_, rule->head.args[a], &renaming);
-        ok = Unify(pool_, goal.args[a], head_arg, &subst_);
-      }
-      if (ok) {
-        size_t stack_base = stack_.size();
-        for (size_t b = rule->body.size(); b-- > 0;) {
-          Atom renamed = rule->body[b];
-          for (TermId& arg : renamed.args) {
-            arg = RenameApart(pool_, arg, &renaming);
-          }
-          stack_.push_back(std::move(renamed));
+      *resolvent = goal.next;
+      if (rel != nullptr) {
+        Relation::Row values = rel->row(row);
+        for (size_t c = 0; c < values.size() && ok; ++c) {
+          ok = Unify(pool_, args_[goal.args + c], values[c], &subst_);
         }
-        Status status = Prove();
-        stack_.resize(stack_base);
-        subst_.RollbackTo(mark);
-        CS_RETURN_IF_ERROR(status);
       } else {
-        subst_.RollbackTo(mark);
+        // Resolve with a copy of the rule standardized apart: the
+        // resolvent becomes its renamed body followed by goal.next.
+        renaming_.clear();
+        for (size_t a = 0; a < rule->head.args.size() && ok; ++a) {
+          TermId head_arg = RenameApart(pool_, rule->head.args[a], &renaming_);
+          ok = Unify(pool_, args_[goal.args + a], head_arg, &subst_);
+        }
+        for (size_t b = rule->body.size(); ok && b-- > 0;) {
+          renamed_.clear();
+          for (TermId arg : rule->body[b].args) {
+            renamed_.push_back(RenameApart(pool_, arg, &renaming_));
+          }
+          *resolvent = PushGoal(rule->body[b].pred, renamed_, *resolvent);
+        }
       }
+      if (ok) return true;
     }
-    return Status::Ok();
+    return false;
   }
 
   EvalDb* db_;
@@ -160,46 +181,24 @@ class TopDownEvaluator::Impl {
   const TopDownOptions& options_;
   TopDownStats* stats_;
   const std::function<void(const Substitution&)>& on_solution_;
-  std::vector<Atom> stack_;
+  std::vector<Goal> goals_;
+  std::vector<TermId> args_;
+  std::vector<Choice> choices_;
   Substitution subst_;
+  std::unordered_map<PredId, std::vector<const Rule*>> rules_;
+  std::unordered_map<TermId, TermId> renaming_;
+  std::vector<int> columns_;
+  Tuple key_;
+  std::vector<TermId> renamed_;
 };
 
 TopDownEvaluator::TopDownEvaluator(EvalDb* db, TopDownOptions options)
     : db_(db), options_(options) {}
 
-namespace {
-
-/// SLD resolution recurses one C++ frame chain per goal expansion, so
-/// provable depth is bounded by stack size, not max_depth. Run the
-/// prover on a dedicated thread with an explicit large stack: deep but
-/// legal proofs (and sanitizer builds, whose frames are several times
-/// larger) must not depend on the caller's RLIMIT_STACK. Reserved
-/// address space only — pages are committed on use.
-constexpr size_t kProverStackBytes = size_t{256} << 20;
-
-void* ProverTrampoline(void* arg) {
-  (*static_cast<std::function<void()>*>(arg))();
-  return nullptr;
-}
-
-}  // namespace
-
 Status TopDownEvaluator::Solve(
     const std::vector<Atom>& goals,
     const std::function<void(const Substitution&)>& on_solution) {
-  Impl impl(db_, options_, &stats_, on_solution);
-  Status result = Status::Ok();
-  std::function<void()> run = [&] { result = impl.Run(goals); };
-  pthread_attr_t attr;
-  pthread_t prover;
-  if (pthread_attr_init(&attr) != 0) return impl.Run(goals);
-  const bool spawned =
-      pthread_attr_setstacksize(&attr, kProverStackBytes) == 0 &&
-      pthread_create(&prover, &attr, ProverTrampoline, &run) == 0;
-  pthread_attr_destroy(&attr);
-  if (!spawned) return impl.Run(goals);  // fall back to this stack
-  pthread_join(prover, nullptr);
-  return result;
+  return Impl(db_, options_, &stats_, on_solution).Run(goals);
 }
 
 StatusOr<std::vector<std::vector<TermId>>> TopDownEvaluator::Answers(

@@ -702,12 +702,15 @@ QueryResponse QueryService::QueryImpl(std::string_view text,
 
   const bool use_result_cache =
       options_.enable_result_cache && !request.bypass_cache;
+  // The SCC schedule orders rows and counts work its own way, so each
+  // parallel_scc setting caches its own result.
+  const std::string key = StrCat(request.parallel_scc, ":", canonical->key);
   if (use_result_cache) {
     TraceSpan lookup_span(request.trace, "result_cache_lookup");
     std::shared_ptr<ResultEntry> entry;
     {
       std::lock_guard<std::mutex> lock(cache_mu_);
-      entry = result_cache_.Get(canonical->key);
+      entry = result_cache_.Get(key);
     }
     if (entry != nullptr) {
       bool valid = entry->num_vars == canonical->vars.size();
@@ -742,7 +745,7 @@ QueryResponse QueryService::QueryImpl(std::string_view text,
       }
       {
         std::lock_guard<std::mutex> lock(cache_mu_);
-        result_cache_.Erase(canonical->key);
+        result_cache_.Erase(key);
       }
       if (stale_deps) c_.result_cache_invalidations->Inc();
       lookup_span.Attr("invalidated", stale_deps ? int64_t{1} : int64_t{0});
@@ -809,7 +812,7 @@ QueryResponse QueryService::QueryImpl(std::string_view text,
     store_span.Attr("skipped_stale", int64_t{1});
     return response;
   }
-  result_cache_.Put(canonical->key, std::move(entry),
+  result_cache_.Put(key, std::move(entry),
                     options_.result_cache_capacity);
   return response;
 }

@@ -1,5 +1,7 @@
 #include "term/unify.h"
 
+#include <algorithm>
+
 namespace chainsplit {
 
 TermId Substitution::Walk(TermId t, const TermPool& pool) const {
@@ -32,22 +34,31 @@ TermId Substitution::Lookup(TermId var) const {
 }
 
 TermId Substitution::Resolve(TermId t, TermPool& pool) const {
-  t = Walk(t, pool);
-  if (!pool.IsCompound(t) || pool.IsGround(t)) return t;
-  std::vector<TermId> resolved;
-  auto args = pool.args(t);
-  resolved.reserve(args.size());
-  bool changed = false;
-  for (TermId a : args) {
-    TermId r = Resolve(a, pool);
-    changed = changed || (r != a);
-    resolved.push_back(r);
+  // Loops down the last argument (a list's tail) and recurses only into
+  // the others, so a long resolved list costs heap, not machine stack.
+  // Terms are interned in the order a plain recursion would make them.
+  std::vector<std::pair<TermId, std::vector<TermId>>> spine;
+  for (t = Walk(t, pool); pool.IsCompound(t) && !pool.IsGround(t);
+       t = Walk(pool.args(t).back(), pool)) {
+    std::vector<TermId> resolved;
+    for (TermId a : pool.args(t).first(pool.args(t).size() - 1)) {
+      resolved.push_back(Resolve(a, pool));
+    }
+    spine.emplace_back(t, std::move(resolved));
   }
-  if (!changed) return t;
-  // functor(t) returns a reference into the pool's name table which can
-  // be invalidated by interning; copy before MakeCompound.
-  std::string functor = pool.functor(t);
-  return pool.MakeCompound(functor, resolved);
+  for (size_t i = spine.size(); i-- > 0;) {
+    auto& [term, resolved] = spine[i];
+    resolved.push_back(t);
+    auto args = pool.args(term);
+    t = term;
+    if (!std::equal(resolved.begin(), resolved.end(), args.begin())) {
+      // functor() returns a reference into the pool's name table which
+      // can be invalidated by interning; copy before MakeCompound.
+      std::string functor = pool.functor(term);
+      t = pool.MakeCompound(functor, resolved);
+    }
+  }
+  return t;
 }
 
 bool OccursIn(const TermPool& pool, const Substitution& subst, TermId var,

@@ -21,7 +21,7 @@ class BoundedTest : public ::testing::Test {
   std::optional<BoundedUnfolding> Detect(std::string_view pred, int arity,
                                          int max_period = 12) {
     rectified_ = RectifyRules(&db_.program());
-    AppendIdbFacts(db_.program(), &rectified_);
+    AppendIdbFacts(db_, &rectified_);
     return DetectBoundedRecursion(
         &db_.program(), rectified_,
         db_.program().preds().Find(pred, arity).value(), max_period);
@@ -112,7 +112,7 @@ sym(X, Y) :- link(X), sym(Y, X).
   ASSERT_TRUE(ParseProgram(source, &db2.program()).ok());
   ASSERT_TRUE(db2.LoadProgramFacts().ok());
   std::vector<Rule> rectified = RectifyRules(&db2.program());
-  AppendIdbFacts(db2.program(), &rectified);
+  AppendIdbFacts(db2, &rectified);
   auto bounded2 = DetectBoundedRecursion(
       &db2.program(), rectified,
       db2.program().preds().Find("sym", 2).value());

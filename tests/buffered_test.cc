@@ -22,7 +22,7 @@ class BufferedTest : public ::testing::Test {
 
   CompiledChain Compile(std::string_view pred, int arity) {
     rectified_ = RectifyRules(&db_.program());
-    AppendIdbFacts(db_.program(), &rectified_);
+    AppendIdbFacts(db_, &rectified_);
     auto chain = CompileChain(db_.program(), rectified_,
                               db_.program().preds().Find(pred, arity).value());
     EXPECT_TRUE(chain.ok()) << chain.status();
@@ -265,7 +265,7 @@ TEST_P(BufferedAppendProperty, MatchesTopDown) {
   ASSERT_TRUE(ParseProgram(AppendProgramSource(), &db.program()).ok());
   ASSERT_TRUE(db.LoadProgramFacts().ok());
   std::vector<Rule> rectified = RectifyRules(&db.program());
-  AppendIdbFacts(db.program(), &rectified);
+  AppendIdbFacts(db, &rectified);
   auto chain = CompileChain(db.program(), rectified,
                             db.program().preds().Find("append", 3).value());
   ASSERT_TRUE(chain.ok());

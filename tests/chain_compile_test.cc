@@ -11,19 +11,18 @@ namespace {
 
 class ChainCompileTest : public ::testing::Test {
  protected:
-  ChainCompileTest() : program_(&pool_) {}
-
   StatusOr<CompiledChain> Compile(std::string_view text,
                                   std::string_view pred, int arity) {
     EXPECT_TRUE(ParseProgram(text, &program_).ok());
+    EXPECT_TRUE(db_.LoadProgramFacts().ok());
     rectified_ = RectifyRules(&program_);
-    AppendIdbFacts(program_, &rectified_);
+    AppendIdbFacts(db_, &rectified_);
     return CompileChain(program_, rectified_,
                         program_.preds().Find(pred, arity).value());
   }
 
-  TermPool pool_;
-  Program program_;
+  Database db_;
+  Program& program_ = db_.program();
   std::vector<Rule> rectified_;
 };
 

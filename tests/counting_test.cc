@@ -20,7 +20,7 @@ class CountingTest : public ::testing::Test {
 
   CompiledChain Compile(std::string_view pred, int arity) {
     rectified_ = RectifyRules(&db_.program());
-    AppendIdbFacts(db_.program(), &rectified_);
+    AppendIdbFacts(db_, &rectified_);
     auto chain = CompileChain(db_.program(), rectified_,
                               db_.program().preds().Find(pred, arity).value());
     EXPECT_TRUE(chain.ok()) << chain.status();

@@ -20,7 +20,7 @@ class FinitenessTest : public ::testing::Test {
     EXPECT_TRUE(ParseProgram(text, &db_.program()).ok());
     EXPECT_TRUE(db_.LoadProgramFacts().ok());
     rectified_ = RectifyRules(&db_.program());
-    AppendIdbFacts(db_.program(), &rectified_);
+    AppendIdbFacts(db_, &rectified_);
     auto chain = CompileChain(db_.program(), rectified_,
                               db_.program().preds().Find(pred, arity).value());
     EXPECT_TRUE(chain.ok()) << chain.status();
@@ -142,7 +142,7 @@ parent(a, b). sibling(a, a).
     }
   }
   std::vector<Rule> rectified = RectifyRules(&db.program());
-  AppendIdbFacts(db.program(), &rectified);
+  AppendIdbFacts(db, &rectified);
   auto chain = CompileChain(db.program(), rectified,
                             db.program().preds().Find("scsg", 2).value());
   ASSERT_TRUE(chain.ok());

@@ -98,34 +98,6 @@ TEST_F(ParserTest, ParsesEqualityAndUnderscore) {
   EXPECT_NE(rule.body[1].args[0], rule.body[1].args[1]);
 }
 
-TEST_F(ParserTest, FactPositionsIndexEachPredicateAndRollBack) {
-  ASSERT_TRUE(
-      ParseProgram("e(a, b). f(a). e(b, c). r(X) :- e(X, Y).", &program_)
-          .ok());
-  const PredId e = program_.preds().Find("e", 2).value();
-  const PredId f = program_.preds().Find("f", 1).value();
-  const PredId r = program_.preds().Find("r", 1).value();
-  EXPECT_EQ(program_.FactPositions(e), (std::vector<uint32_t>{0, 2}));
-  EXPECT_EQ(program_.FactPositions(f), (std::vector<uint32_t>{1}));
-  EXPECT_TRUE(program_.FactPositions(r).empty());
-
-  // A parse error mid-text leaves the valid prefix applied until the
-  // caller rolls it back; the rollback trims the index too.
-  const Program::Marker marker = program_.Mark();
-  ASSERT_FALSE(
-      ParseProgram("f(b). e(c, d). g(a). p(a) q(b).", &program_).ok());
-  EXPECT_EQ(program_.FactPositions(e), (std::vector<uint32_t>{0, 2, 4}));
-  program_.RollbackTo(marker);
-  const PredId g = program_.preds().Find("g", 1).value();
-  EXPECT_EQ(program_.FactPositions(e), (std::vector<uint32_t>{0, 2}));
-  EXPECT_EQ(program_.FactPositions(f), (std::vector<uint32_t>{1}));
-  EXPECT_TRUE(program_.FactPositions(g).empty());
-
-  ASSERT_TRUE(ParseProgram("e(d, e).", &program_).ok());
-  EXPECT_EQ(program_.FactPositions(e), (std::vector<uint32_t>{0, 2, 3}));
-  EXPECT_EQ(program_.facts()[3].args[0], pool_.MakeSymbol("d"));
-}
-
 TEST_F(ParserTest, NegativeIntegerLiteral) {
   auto term = ParseTerm("-12", &program_);
   ASSERT_TRUE(term.ok());

@@ -17,7 +17,7 @@ class PartialTest : public ::testing::Test {
     ASSERT_TRUE(ParseProgram(facts, &db_.program()).ok());
     ASSERT_TRUE(db_.LoadProgramFacts().ok());
     rectified_ = RectifyRules(&db_.program());
-    AppendIdbFacts(db_.program(), &rectified_);
+    AppendIdbFacts(db_, &rectified_);
     auto chain = CompileChain(db_.program(), rectified_,
                               db_.program().preds().Find("travel", 4).value());
     ASSERT_TRUE(chain.ok()) << chain.status();
@@ -165,7 +165,7 @@ TEST_F(PartialTest, PushedAnswersAreSubsetOfUnpushedOnAcyclicData) {
   // pushed-with-huge-bound instead.
   ASSERT_TRUE(ParseProgram(TravelProgramSource(), &db_.program()).ok());
   rectified_ = RectifyRules(&db_.program());
-  AppendIdbFacts(db_.program(), &rectified_);
+  AppendIdbFacts(db_, &rectified_);
   auto chain = CompileChain(db_.program(), rectified_,
                             db_.program().preds().Find("travel", 4).value());
   ASSERT_TRUE(chain.ok());

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <functional>
 
 #include "ast/parser.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "rel/csv.h"
 #include "term/list_utils.h"
 #include "workload/family_gen.h"
 #include "workload/flight_gen.h"
@@ -414,8 +417,8 @@ struct InterleavedCase {
 
 TEST(PlannerTest, InterleavedIdbFactsGiveIdenticalAnswersUnderEveryTechnique) {
   // Expected rows and their order were recorded from the planner that
-  // walked the whole fact list. sym is left out of top-down: SLD does
-  // not terminate on its cyclic recursion.
+  // walked the whole fact list. Top-down on sym errors: SLD does not
+  // terminate on its cyclic recursion and stops at the depth cap.
   const InterleavedCase cases[] = {
       {"?- sg(n40, Y).", std::nullopt,
        "n41 n42 n43 n44 n45 n46 n47 n48 n49 n50 n51 n52 n53 n54 n55 n56 "
@@ -454,16 +457,26 @@ TEST(PlannerTest, InterleavedIdbFactsGiveIdenticalAnswersUnderEveryTechnique) {
       {"?- sg(n28, Y).", Technique::kTopDown,
        "n171 n29 n54 n55 n56 n57 n58 n59 n60 n61 n62 n63 n64 n65 n66 n67 "
        "n68 n69 n70 n71 n72 n73 n74 n75 n76 n77 n78 n79 n80"},
+      // A rest goal runs through the prover once per main answer, in
+      // the main answers' order.
+      {"?- sg(n28, Y), sibling(Y, Z).", std::nullopt,
+       "n55,n56 n58,n59 n61,n62 n64,n65 n67,n68 n70,n71 n73,n74 n76,n77 "
+       "n79,n80"},
+      {"?- sg(n28, Y), sibling(Y, Z).", Technique::kTopDown,
+       "n55,n56 n58,n59 n61,n62 n64,n65 n67,n68 n70,n71 n73,n74 n76,n77 "
+       "n79,n80"},
       {"?- sym(b12, Y).", std::nullopt, "b84 b4 b116"},
       {"?- sym(b12, Y).", Technique::kMagicSets, "b84 b4 b116"},
       {"?- sym(b12, Y).", Technique::kChainSplitMagic, "b84 b4 b116"},
       {"?- sym(b12, Y).", Technique::kBuffered, "error"},
       {"?- sym(b12, Y).", Technique::kPartial, "error"},
+      {"?- sym(b12, Y).", Technique::kTopDown, "error"},
       {"?- sym(b4, Y).", std::nullopt, "b28 b172 b12"},
       {"?- sym(b4, Y).", Technique::kMagicSets, "b28 b172 b12"},
       {"?- sym(b4, Y).", Technique::kChainSplitMagic, "b28 b172 b12"},
       {"?- sym(b4, Y).", Technique::kBuffered, "error"},
       {"?- sym(b4, Y).", Technique::kPartial, "error"},
+      {"?- sym(b4, Y).", Technique::kTopDown, "error"},
       {"?- isort([2, 9, 8], Ys).", std::nullopt, "[2, 8, 9]"},
       {"?- isort([2, 9, 8], Ys).", Technique::kMagicSets, "[2, 8, 9]"},
       {"?- isort([2, 9, 8], Ys).", Technique::kChainSplitMagic, "[2, 8, 9]"},
@@ -488,6 +501,62 @@ TEST(PlannerTest, InterleavedIdbFactsGiveIdenticalAnswersUnderEveryTechnique) {
   ASSERT_TRUE(sym.ok()) << sym.status();
   EXPECT_NE(sym->plan.find("bounded recursion"), std::string::npos)
       << sym->plan;
+}
+
+TEST(PlannerTest, ForcedTopDownOnCyclicRecursionStopsAtTheDepthCap) {
+  Database db;
+  ASSERT_TRUE(ParseProgram(StrCat(InterleavedFactsProgram(), "?- sym(b12, Y)."),
+                           &db.program())
+                  .ok());
+  ASSERT_TRUE(db.LoadProgramFacts().ok());
+  PlannerOptions options;
+  options.force = Technique::kTopDown;
+  const auto start = std::chrono::steady_clock::now();
+  auto result = EvaluateQuery(&db, db.program().queries()[0], options);
+  [[maybe_unused]] const auto elapsed =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(result.status().message().find("depth"), std::string::npos)
+      << result.status();
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__)
+  EXPECT_LT(elapsed, std::chrono::seconds(2));  // an optimized build
+#endif
+}
+
+// Rows the planner reads from an IDB predicate's relation, such as a
+// CSV load, are answers under every technique, as they are in SLD.
+TEST(PlannerTest, CsvRowsOfAnIdbPredicateAnswerUnderEveryTechnique) {
+  const std::optional<Technique> forces[] = {
+      std::nullopt,        Technique::kMagicSets, Technique::kChainSplitMagic,
+      Technique::kBuffered, Technique::kTopDown};
+  for (const std::optional<Technique>& force : forces) {
+    SCOPED_TRACE(force.has_value() ? TechniqueToString(*force) : "planner");
+    Database db;
+    ASSERT_TRUE(ParseProgram(R"(
+e(c, d).
+p(X, Y) :- e(X, Y).
+p(X, Y) :- e(X, Z), p(Z, Y).
+?- p(a, Y).
+?- p(X, Y).
+)",
+                             &db.program())
+                    .ok());
+    ASSERT_TRUE(db.LoadProgramFacts().ok());
+    const PredId p = db.program().preds().Find("p", 2).value();
+    ASSERT_TRUE(LoadFactsFromString(&db, p, "a,b\n").ok());
+    PlannerOptions options;
+    options.force = force;
+    const Tuple ab = {db.pool().MakeSymbol("a"), db.pool().MakeSymbol("b")};
+    auto bound = EvaluateQuery(&db, db.program().queries()[0], options);
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    EXPECT_EQ(bound->answers, std::vector<Tuple>{{ab[1]}});
+    if (force == Technique::kBuffered) continue;  // needs a bound argument
+    auto all = EvaluateQuery(&db, db.program().queries()[1], options);
+    ASSERT_TRUE(all.ok()) << all.status();
+    EXPECT_EQ(all->answers.size(), 2u);
+    EXPECT_EQ(std::count(all->answers.begin(), all->answers.end(), ab), 1);
+  }
 }
 
 TEST(PlannerTest, ChainPlanListsEachExitFactOnce) {

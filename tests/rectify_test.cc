@@ -114,23 +114,29 @@ insert(X, [Y|Ys], [X, Y|Ys]) :- X =< Y.
 }
 
 TEST_F(RectifyTest, AppendIdbFactsKeepsProgramOrder) {
-  Load(R"(
+  Database db;
+  ASSERT_TRUE(ParseProgram(R"(
 q(b). e(a). p(a). e(b). q(a). p(b). e(c).
 p(X) :- e(X).
 q(X) :- p(X).
-)");
-  std::vector<Rule> rules = RectifyRules(&program_);
-  AppendIdbFacts(program_, &rules);
-  ASSERT_EQ(rules.size(), 6u);
+)",
+                           &db.program())
+                  .ok());
+  ASSERT_TRUE(db.LoadProgramFacts().ok());
+  const PredId q = db.program().preds().Find("q", 1).value();
+  db.InsertFact(q, {db.pool().MakeSymbol("c")});  // a row with no fact
+  std::vector<Rule> rules = RectifyRules(&db.program());
+  AppendIdbFacts(db, &rules);
+  ASSERT_EQ(rules.size(), 7u);
   std::vector<std::string> appended;
   for (size_t i = 2; i < rules.size(); ++i) {
     EXPECT_TRUE(rules[i].body.empty());
-    appended.push_back(RuleToString(program_, rules[i]));
+    appended.push_back(RuleToString(db.program(), rules[i]));
   }
-  // Facts of both IDB predicates, interleaved as in the program; the
-  // EDB facts of e stay out.
-  EXPECT_EQ(appended,
-            (std::vector<std::string>{"q(b).", "p(a).", "q(a).", "p(b)."}));
+  // The rows of each IDB predicate in relation (insertion) order, by
+  // first defining rule; the EDB rows of e stay out.
+  EXPECT_EQ(appended, (std::vector<std::string>{"p(a).", "p(b).", "q(b).",
+                                                "q(a).", "q(c)."}));
 }
 
 }  // namespace

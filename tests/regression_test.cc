@@ -74,8 +74,8 @@ pairlist(L) :- n(X), n(Y), single(T), cons(Y, T, M), cons(X, M, L).
 }
 
 TEST(Regression, DeepLinearRecursionTopDown) {
-  // 2000-step SLD proof: the goal stack is heap-allocated, and the
-  // C++ recursion in Prove stays within one frame per goal expansion.
+  // An SLD proof 2,000 levels deep through the planner's forced
+  // top-down path: the prover keeps its proof state on the heap.
   Database db;
   PredId e = db.program().InternPred("e", 2);
   for (int i = 0; i < 2000; ++i) {

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,25 +150,38 @@ TEST(ServiceTest, FailedUpdateLeavesNoIndexedFactBehind) {
       "sibling(a, b). parent(c, a). sg(e, f). parent(d, b).\n");
   ASSERT_TRUE(seeded.status.ok()) << seeded.status;
   const Program& program = service.db().program();
-  const PredId sg = program.preds().Find("sg", 2).value();
-  const std::vector<uint32_t> positions = program.FactPositions(sg);
   const size_t facts = program.facts().size();
 
   // The parser appends sg(x, y) before it reaches the error.
   UpdateResponse failed =
       service.Update("sibling(x, z). sg(x, y). p(a) q(b).");
   EXPECT_FALSE(failed.status.ok());
-  EXPECT_EQ(program.FactPositions(sg), positions);
   EXPECT_EQ(program.facts().size(), facts);
   QueryResponse none = service.Query("?- sg(x, Y).");
   ASSERT_TRUE(none.status.ok()) << none.status;
   EXPECT_EQ(Flatten(none), "");
 
   ASSERT_TRUE(service.Update("sg(x, w).").status.ok());
-  EXPECT_EQ(program.FactPositions(sg).back(), facts);
   QueryResponse one = service.Query("?- sg(x, Y).");
   ASSERT_TRUE(one.status.ok()) << one.status;
   EXPECT_EQ(Flatten(one), "w;");
+}
+
+TEST(ServiceTest, CsvLoadIntoAnIdbPredicateInvalidatesItsCachedQuery) {
+  QueryService service;
+  ASSERT_TRUE(service
+                  .Update("e(c, d).\np(X, Y) :- e(X, Y).\n"
+                          "p(X, Y) :- e(X, Z), p(Z, Y).\n")
+                  .status.ok());
+  EXPECT_EQ(Flatten(service.Query("?- p(a, Y).")), "");
+  const std::string csv = StrCat(::testing::TempDir(), "cs_idb_csv_",
+                                 ::getpid(), ".csv");
+  std::ofstream(csv) << "a,b\n";
+  ASSERT_TRUE(service.LoadCsv("p", 2, csv).ok());
+  std::remove(csv.c_str());
+  QueryResponse after = service.Query("?- p(a, Y).");
+  EXPECT_FALSE(after.result_cache_hit);
+  EXPECT_EQ(Flatten(after), "b;");
 }
 
 TEST(ServiceTest, RuleUpdateDropsBothCaches) {

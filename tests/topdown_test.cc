@@ -1,8 +1,13 @@
 #include "engine/topdown.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <functional>
+#include <thread>
 
 #include "ast/parser.h"
+#include "common/strings.h"
 #include "term/list_utils.h"
 #include "workload/list_gen.h"
 
@@ -116,6 +121,69 @@ e(a, b).
   auto answers = solver.Answers(query.goals, {});
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST_F(TopDownTest, DepthCapStopsARunawayRecursionBeforeTheStepCap) {
+  Load("p(X) :- p(X). ?- p(a).");
+  TopDownEvaluator solver(&db_);
+  auto answers = solver.Answers(db_.program().queries().back().goals, {});
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(answers.status().message().find("depth"), std::string::npos)
+      << answers.status();
+  const TopDownOptions defaults;
+  EXPECT_EQ(solver.stats().deepest, defaults.max_depth);
+  EXPECT_LT(solver.stats().steps, defaults.max_steps);
+}
+
+TEST_F(TopDownTest, SolutionsArriveOnTheCallingThread) {
+  Load("n(1). n(2). ?- n(X).");
+  std::vector<std::thread::id> callers;
+  TopDownEvaluator solver(&db_);
+  ASSERT_TRUE(solver
+                  .Solve(db_.program().queries().back().goals,
+                         [&](const Substitution&) {
+                           callers.push_back(std::this_thread::get_id());
+                         })
+                  .ok());
+  EXPECT_EQ(callers, std::vector(2, std::this_thread::get_id()));
+}
+
+// Proofs close to max_depth need heap, not machine stack: both run on
+// a thread whose whole stack is 256 KiB.
+TEST_F(TopDownTest, ProofsNearTheDepthCapRunOnASmallStack) {
+  Load(StrCat(AppendProgramSource(), IsortProgramSource()));
+  const std::vector<int64_t> long_list = RandomInts(100000, 0, 999, 5);
+  std::vector<int64_t> ints = RandomInts(512, 0, 1000000, 11 + 512);
+  std::vector<std::vector<TermId>> appended, sorted;
+  TopDownStats append_stats;
+  std::function<void()> run = [&] {
+    TermPool& pool = db_.pool();
+    appended = Ask(StrCat("?- append(",
+                          pool.ToString(MakeIntList(pool, long_list)),
+                          ", [], W)."));
+    append_stats = last_stats_;
+    sorted = Ask(StrCat("?- isort(", pool.ToString(MakeIntList(pool, ints)),
+                        ", Ys)."));
+  };
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{256} << 10), 0);
+  pthread_t thread;
+  auto trampoline = [](void* fn) -> void* {
+    (*static_cast<std::function<void()>*>(fn))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline, &run), 0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(appended.size(), 1u);
+  EXPECT_EQ(ListInts(db_.pool(), appended[0][0]), long_list);
+  EXPECT_EQ(append_stats.deepest, 100001);
+  ASSERT_EQ(sorted.size(), 1u);
+  std::sort(ints.begin(), ints.end());
+  EXPECT_EQ(ListInts(db_.pool(), sorted[0][0]), ints);
+  EXPECT_GT(last_stats_.deepest, 100000);
 }
 
 TEST_F(TopDownTest, MaxSolutionsStopsEarly) {
