@@ -127,5 +127,18 @@ for bin in "${benches[@]}"; do
           printf "   trace overhead: %.2f%% (traced vs untraced, 1 client)\n", pct
       }' "$out"
   fi
+  if [[ $json_name == program_load ]]; then
+    # Load throughput at the largest size: MB/s of program text and
+    # facts/s through ParseProgram + LoadProgramFacts.
+    awk '
+      /"name": "(Family|Edge)Load\/470000"/ {
+        name = $2; gsub(/[",]/, "", name); want = 1
+      }
+      want && /"bytes_per_second":/ { gsub(/[^0-9.e+-]/, "", $2); mb = $2 / 1e6 }
+      want && /"facts_per_s":/ {
+        gsub(/[^0-9.e+-]/, "", $2)
+        printf "   %s: %.1f MB/s, %.0f facts/s\n", name, mb, $2; want = 0
+      }' "$out"
+  fi
 done
 exit $status

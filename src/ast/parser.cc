@@ -1,7 +1,7 @@
 #include "ast/parser.h"
 
-#include <cctype>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,137 +16,126 @@ enum class TokenKind {
   kVariable,   // uppercase- or '_'-initial identifier
   kInt,
   kPunct,      // one of the operator/punctuation spellings
+  kError,      // a character no token starts with, or an oversized int
   kEnd,
 };
 
+/// A token's text is a view into the source, which outlives the parse.
 struct Token {
-  TokenKind kind;
-  std::string text;
+  TokenKind kind = TokenKind::kEnd;
+  std::string_view text;
   int64_t int_value = 0;
   int line = 1;
   int column = 1;
 };
 
-/// Splits source text into tokens. A '.' is a clause terminator; list
-/// cells are only built through the [..|..] sugar so '.' is never an
-/// identifier character here.
+inline bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+inline bool IsUpper(char c) { return c >= 'A' && c <= 'Z'; }
+inline bool IsIdentStart(char c) {
+  return (c >= 'a' && c <= 'z') || IsUpper(c) || c == '_';
+}
+inline bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
+
+/// Cuts source text into tokens on demand. A '.' is a clause
+/// terminator; list cells are only built through the [..|..] sugar so
+/// '.' is never an identifier character here. A bad character yields a
+/// kError token and the lexer stays on it, so every later Next()
+/// returns the same error token.
 class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) {}
 
-  Status Tokenize(std::vector<Token>* out) {
-    while (true) {
-      SkipWhitespaceAndComments();
-      if (pos_ >= text_.size()) {
-        out->push_back(Token{TokenKind::kEnd, "", 0, line_, column_});
-        return Status::Ok();
-      }
-      Token token;
-      token.line = line_;
-      token.column = column_;
-      char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        token.kind = TokenKind::kInt;
-        CS_RETURN_IF_ERROR(LexInt(&token));
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        LexIdentifier(&token);
-      } else {
-        CS_RETURN_IF_ERROR(LexPunct(&token));
-      }
-      out->push_back(std::move(token));
+  Token Next() {
+    SkipWhitespaceAndComments();
+    Token token;
+    token.line = line_;
+    token.column = static_cast<int>(pos_ - line_start_) + 1;
+    if (pos_ >= text_.size()) return token;  // kEnd
+    const size_t start = pos_;
+    const char c = text_[pos_];
+    if (IsDigit(c)) {
+      LexInt(&token);
+    } else if (IsIdentStart(c)) {
+      while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
+      token.kind = (IsUpper(c) || c == '_') ? TokenKind::kVariable
+                                             : TokenKind::kAtomName;
+    } else {
+      LexPunct(&token);
     }
+    token.text = text_.substr(start, pos_ - start);
+    if (token.kind == TokenKind::kError) pos_ = start;
+    return token;
   }
 
  private:
-  void Advance() {
-    if (text_[pos_] == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    ++pos_;
-  }
-
   void SkipWhitespaceAndComments() {
     while (pos_ < text_.size()) {
       char c = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        Advance();
+      if (c == '\n') {
+        ++pos_;
+        ++line_;
+        line_start_ = pos_;
+      } else if (c == ' ' || c == '\t' || c == '\r' || c == '\v' ||
+                 c == '\f') {
+        ++pos_;
       } else if (c == '%') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') Advance();
+        size_t eol = text_.find('\n', pos_);
+        pos_ = eol == std::string_view::npos ? text_.size() : eol;
       } else {
         return;
       }
     }
   }
 
-  Status LexInt(Token* token) {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      Advance();
+  void LexInt(Token* token) {
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    token->kind = TokenKind::kInt;
+    while (pos_ < text_.size() && IsDigit(text_[pos_])) {
+      int digit = text_[pos_++] - '0';
+      if (token->int_value > (kMax - digit) / 10) {
+        token->kind = TokenKind::kError;
+      } else {
+        token->int_value = token->int_value * 10 + digit;
+      }
     }
-    token->text = std::string(text_.substr(start, pos_ - start));
-    token->int_value = 0;
-    for (char d : token->text) {
-      token->int_value = token->int_value * 10 + (d - '0');
-    }
-    return Status::Ok();
   }
 
-  void LexIdentifier(Token* token) {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_')) {
-      Advance();
-    }
-    token->text = std::string(text_.substr(start, pos_ - start));
-    char first = token->text[0];
-    token->kind = (std::isupper(static_cast<unsigned char>(first)) ||
-                   first == '_')
-                      ? TokenKind::kVariable
-                      : TokenKind::kAtomName;
-  }
-
-  Status LexPunct(Token* token) {
+  void LexPunct(Token* token) {
     token->kind = TokenKind::kPunct;
-    // Longest-match over the two-character operators first.
+    // Longest match: the two-character operators first.
     static constexpr std::string_view kTwoChar[] = {":-", "?-", "=<", ">=",
                                                     "\\="};
     std::string_view rest = text_.substr(pos_);
     for (std::string_view op : kTwoChar) {
       if (StartsWith(rest, op)) {
-        token->text = std::string(op);
-        Advance();
-        Advance();
-        return Status::Ok();
+        pos_ += 2;
+        return;
       }
     }
     static constexpr std::string_view kOneChar = "().,[]|<>=+-*";
-    char c = text_[pos_];
-    if (kOneChar.find(c) != std::string_view::npos) {
-      token->text = std::string(1, c);
-      Advance();
-      return Status::Ok();
+    if (kOneChar.find(text_[pos_]) == std::string_view::npos) {
+      token->kind = TokenKind::kError;
     }
-    return InvalidArgumentError(StrCat("unexpected character '", c, "' at ",
-                                       line_, ":", column_));
+    ++pos_;
   }
 
   std::string_view text_;
   size_t pos_ = 0;
+  size_t line_start_ = 0;  // offset of the current line's first byte
   int line_ = 1;
-  int column_ = 1;
 };
 
-/// Recursive-descent parser over the token stream. One instance per
+/// Recursive-descent parser pulling tokens from a Lexer. The grammar
+/// never looks further than one token past the current one, so two
+/// tokens of lookahead are all the parser holds. One instance per
 /// ParseProgram call; writes clauses into the target Program.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, Program* program)
-      : tokens_(std::move(tokens)), program_(program) {}
+  Parser(std::string_view text, Program* program)
+      : lexer_(text), program_(program) {
+    current_ = lexer_.Next();
+    next_ = lexer_.Next();
+  }
 
   Status ParseAll() {
     while (!AtEnd()) {
@@ -177,18 +166,20 @@ class Parser {
   }
 
  private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& PeekAhead(size_t n) const {
-    size_t i = pos_ + n;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
+  const Token& Peek() const { return current_; }
+  const Token& PeekNext() const { return next_; }
   bool AtEnd() const { return Peek().kind == TokenKind::kEnd; }
 
-  const Token& Take() { return tokens_[pos_++]; }
+  Token Take() {
+    Token taken = current_;
+    current_ = next_;
+    next_ = lexer_.Next();
+    return taken;
+  }
 
   bool TryTakePunct(std::string_view text) {
     if (Peek().kind == TokenKind::kPunct && Peek().text == text) {
-      ++pos_;
+      Take();
       return true;
     }
     return false;
@@ -199,8 +190,19 @@ class Parser {
     return ErrorHere(StrCat("expected '", text, "'"));
   }
 
+  /// Every parse error goes through here, so a lexer error surfaces the
+  /// moment the parser reaches the bad token and not before.
   Status ErrorHere(std::string_view message) const {
     const Token& t = Peek();
+    if (t.kind == TokenKind::kError) {
+      if (IsDigit(t.text[0])) {
+        return InvalidArgumentError(StrCat("integer literal out of range at ",
+                                           t.line, ":", t.column, " (near '",
+                                           t.text, "')"));
+      }
+      return InvalidArgumentError(StrCat("unexpected character '", t.text,
+                                         "' at ", t.line, ":", t.column));
+    }
     return InvalidArgumentError(StrCat(message, " at ", t.line, ":",
                                        t.column, " (near '", t.text, "')"));
   }
@@ -247,8 +249,8 @@ class Parser {
     // clause separator; anything else is the left operand of an
     // operator goal.
     if (Peek().kind == TokenKind::kAtomName && Peek().text != "is" &&
-        !IsOperatorNext(1)) {
-      Token name = Take();
+        !IsOperatorNext()) {
+      std::string_view name = Take().text;
       Atom atom;
       std::vector<TermId> args;
       if (TryTakePunct("(")) {
@@ -260,7 +262,7 @@ class Parser {
         }
       }
       atom.pred =
-          program_->InternPred(name.text, static_cast<int>(args.size()));
+          program_->InternPred(name, static_cast<int>(args.size()));
       atom.args = std::move(args);
       return atom;
     }
@@ -268,11 +270,11 @@ class Parser {
     return ParseOperatorGoal(lhs);
   }
 
-  /// True when the token at lookahead `n` begins an operator goal, i.e.
-  /// the current atom name is really a term operand ("x < y" with x an
-  /// atom constant).
-  bool IsOperatorNext(size_t n) const {
-    const Token& t = PeekAhead(n);
+  /// True when the next token begins an operator goal, i.e. the
+  /// current atom name is really a term operand ("x < y" with x an atom
+  /// constant).
+  bool IsOperatorNext() const {
+    const Token& t = PeekNext();
     if (t.kind == TokenKind::kAtomName) return t.text == "is";
     if (t.kind != TokenKind::kPunct) return false;
     static constexpr std::string_view kOps[] = {"<", ">", "=<", ">=", "=",
@@ -291,7 +293,7 @@ class Parser {
     if (Peek().kind != TokenKind::kPunct) {
       return ErrorHere("expected comparison operator");
     }
-    std::string op = Peek().text;
+    std::string_view op = Peek().text;
     std::string_view pred_name;
     if (op == "<") {
       pred_name = kPredLt;
@@ -340,8 +342,21 @@ class Parser {
     return atom;
   }
 
-  /// term := int | '-' int | variable | name | name '(' terms ')' | list
+  /// Parses a term, refusing to nest deeper than kMaxTermDepth: each
+  /// level is a few machine-stack frames, and hostile text must get a
+  /// Status, not a stack overflow.
   StatusOr<TermId> ParseTermExpr() {
+    if (depth_ == kMaxTermDepth) {
+      return ErrorHere(StrCat("term nested deeper than ", kMaxTermDepth));
+    }
+    ++depth_;
+    StatusOr<TermId> term = ParseTermLevel();
+    --depth_;
+    return term;
+  }
+
+  /// term := int | '-' int | variable | name | name '(' terms ')' | list
+  StatusOr<TermId> ParseTermLevel() {
     const Token& t = Peek();
     switch (t.kind) {
       case TokenKind::kInt: {
@@ -349,12 +364,12 @@ class Parser {
         return pool().MakeInt(value);
       }
       case TokenKind::kVariable: {
-        std::string name = Take().text;
+        std::string_view name = Take().text;
         if (name == "_") return pool().FreshVariable("_");
         return pool().MakeVariable(name);
       }
       case TokenKind::kAtomName: {
-        std::string name = Take().text;
+        std::string_view name = Take().text;
         if (TryTakePunct("(")) {
           std::vector<TermId> args;
           while (true) {
@@ -369,12 +384,13 @@ class Parser {
       }
       case TokenKind::kPunct:
         if (t.text == "[") return ParseList();
-        if (t.text == "-" && PeekAhead(1).kind == TokenKind::kInt) {
+        if (t.text == "-" && PeekNext().kind == TokenKind::kInt) {
           Take();
           int64_t value = Take().int_value;
           return pool().MakeInt(-value);
         }
         break;
+      case TokenKind::kError:
       case TokenKind::kEnd:
         break;
     }
@@ -406,42 +422,31 @@ class Parser {
     return list;
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
-  Program* program_;
-};
+  static constexpr int kMaxTermDepth = 1000;
 
-StatusOr<std::vector<Token>> Tokenize(std::string_view text) {
-  std::vector<Token> tokens;
-  Lexer lexer(text);
-  CS_RETURN_IF_ERROR(lexer.Tokenize(&tokens));
-  return tokens;
-}
+  Lexer lexer_;
+  Token current_;
+  Token next_;
+  Program* program_;
+  int depth_ = 0;  // ParseTermExpr calls in progress
+};
 
 }  // namespace
 
 Status ParseProgram(std::string_view text, Program* program) {
-  CS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens), program);
-  return parser.ParseAll();
+  return Parser(text, program).ParseAll();
 }
 
 StatusOr<Query> ParseQueryOnly(std::string_view text, Program* program) {
-  CS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens), program);
-  return parser.ParseOneQuery();
+  return Parser(text, program).ParseOneQuery();
 }
 
 StatusOr<TermId> ParseTerm(std::string_view text, Program* program) {
-  CS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens), program);
-  return parser.ParseOneTerm();
+  return Parser(text, program).ParseOneTerm();
 }
 
 StatusOr<Atom> ParseAtom(std::string_view text, Program* program) {
-  CS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens), program);
-  return parser.ParseOneAtom();
+  return Parser(text, program).ParseOneAtom();
 }
 
 }  // namespace chainsplit

@@ -30,6 +30,17 @@ namespace chainsplit {
 /// Ground atoms with empty bodies are recorded as EDB facts (except
 /// for rules over reserved builtin predicates, which are rejected);
 /// non-ground ones as rules. Errors carry line:column positions.
+///
+/// The parser pulls tokens from the lexer as it goes (two tokens of
+/// lookahead, each a view into `text`), so the text is never tokenized
+/// up front and the first error in reading order wins: a syntax error
+/// that comes before a bad character is reported, not the character
+/// ("expected '.' at 1:6" for "p(a) q(b). r(&)."). A bad character
+/// reads "unexpected character '&' at L:C"; an integer literal beyond
+/// int64 and a term nested deeper than 1,000 levels are errors too.
+/// Clauses before the error stay appended to `*program`; callers that
+/// need all-or-nothing take a Program::Marker first and roll back to
+/// it.
 Status ParseProgram(std::string_view text, Program* program);
 
 /// Parses exactly one query statement ("?- goals.") and returns it

@@ -50,10 +50,19 @@ class PredicateTable {
     int arity;
   };
 
-  static std::string Key(std::string_view name, int arity);
+  // `name` views an Entry's name: the arena never moves an entry, so
+  // the view stays valid and a lookup builds no key string.
+  struct Key {
+    std::string_view name;
+    int arity;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const;
+  };
 
   ChunkedVector<Entry> entries_;
-  std::unordered_map<std::string, PredId> index_;
+  std::unordered_map<Key, PredId, KeyHash> index_;
   mutable std::mutex intern_mu_;
 };
 

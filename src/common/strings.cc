@@ -1,5 +1,11 @@
 #include "common/strings.h"
 
+#include <sys/stat.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+
 namespace chainsplit {
 
 std::string StrJoin(const std::vector<std::string>& parts,
@@ -29,6 +35,29 @@ std::vector<std::string> StrSplit(std::string_view text, char sep) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+StatusOr<std::string> ReadFileToString(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return NotFoundError(StrCat("cannot open ", path));
+  std::string out;
+  struct stat st;
+  if (fstat(fileno(file), &st) == 0 && st.st_size > 0) {
+    out.resize(static_cast<size_t>(st.st_size));
+  }
+  out.resize(std::fread(out.data(), 1, out.size(), file));
+  // Whatever the size did not cover: a file that grew, or a pipe.
+  char buffer[4096];
+  while (size_t n = std::fread(buffer, 1, sizeof(buffer), file)) {
+    out.append(buffer, n);
+  }
+  const int error = std::ferror(file) ? errno : 0;
+  std::fclose(file);
+  if (error != 0) {
+    return InternalError(
+        StrCat("cannot read ", path, ": ", std::strerror(error)));
+  }
+  return out;
 }
 
 }  // namespace chainsplit

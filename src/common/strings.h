@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 namespace chainsplit {
 
 /// Concatenates the string representations of all arguments, using
@@ -27,6 +29,10 @@ std::vector<std::string> StrSplit(std::string_view text, char sep);
 
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Reads the whole file at `path` into one string sized to the file.
+/// NotFound if it cannot be opened.
+StatusOr<std::string> ReadFileToString(const std::string& path);
 
 }  // namespace chainsplit
 

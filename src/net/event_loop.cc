@@ -86,13 +86,17 @@ void EventLoop::Run(
   while (true) {
     // Drain the mailbox before blocking: completions posted by the
     // dispatcher pool re-arm connections for the wait below.
+    bool quit;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ready.swap(tasks_);
-      if (quit_ && ready.empty()) return;
+      quit = quit_;
     }
     for (auto& task : ready) task();
     ready.clear();
+    // Quit's wakeup may already have been drained with the tasks', so
+    // waiting again could block for good.
+    if (quit) return;
 
     int n = ::epoll_wait(epoll_fd_, events,
                          static_cast<int>(sizeof(events) / sizeof(events[0])),

@@ -1,8 +1,6 @@
 #include "rel/csv.h"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
 #include "common/strings.h"
 
@@ -75,13 +73,9 @@ StatusOr<int64_t> LoadFactsFromString(Database* db, PredId pred,
 StatusOr<int64_t> LoadFactsFromFile(Database* db, PredId pred,
                                     std::string_view path,
                                     const CsvOptions& options) {
-  std::ifstream in{std::string(path)};
-  if (!in) {
-    return NotFoundError(StrCat("cannot open ", path));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return LoadFactsFromString(db, pred, buffer.str(), options);
+  CS_ASSIGN_OR_RETURN(std::string content,
+                      ReadFileToString(std::string(path)));
+  return LoadFactsFromString(db, pred, content, options);
 }
 
 StatusOr<std::string> DumpFactsToString(const Database& db, PredId pred,

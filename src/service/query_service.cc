@@ -1,9 +1,7 @@
 #include "service/query_service.h"
 
 #include <algorithm>
-#include <fstream>
 #include <optional>
-#include <sstream>
 
 #include "ast/parser.h"
 #include "common/strings.h"
@@ -918,26 +916,21 @@ UpdateResponse QueryService::UpdateInternal(std::string_view text,
 
 UpdateResponse QueryService::LoadFile(const std::string& path,
                                       const RequestOptions& request) {
-  std::ifstream in(path);
-  if (!in) {
+  StatusOr<std::string> text = ReadFileToString(path);
+  if (!text.ok()) {
     UpdateResponse response;
-    response.status = NotFoundError(StrCat("cannot open ", path));
+    response.status = text.status();
     return response;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Update(buffer.str(), request);
+  return Update(*text, request);
 }
 
 StatusOr<int64_t> QueryService::LoadCsv(const std::string& name, int arity,
                                         const std::string& path) {
   // Read the file outside the lock; the WAL stores the *content* (a
   // path may have moved or vanished by recovery time).
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError(StrCat("cannot open ", path));
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return LoadCsvContent(name, arity, buffer.str(), /*delimiter=*/',',
+  CS_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
+  return LoadCsvContent(name, arity, content, /*delimiter=*/',',
                         /*log=*/true);
 }
 

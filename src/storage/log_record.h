@@ -74,10 +74,17 @@ struct Reader {
     return true;
   }
   bool ReadString(std::string* v) {
+    std::string_view view;
+    if (!ReadStringView(&view)) return false;
+    v->assign(view);
+    return true;
+  }
+  /// Like ReadString, but `*v` views `data` instead of copying it.
+  bool ReadStringView(std::string_view* v) {
     uint32_t n;
     if (!ReadU32(&n)) return false;
     if (remaining() < n) return false;
-    v->assign(data.data() + at, n);
+    *v = data.substr(at, n);
     at += n;
     return true;
   }

@@ -63,6 +63,44 @@ bool ReadAtom(wire::Reader* in, int64_t num_preds, int64_t num_terms,
   return true;
 }
 
+// Counts the term section's nodes by kind, reading a copy of `in`, and
+// reserves the pool's indexes to match, so replaying the interning calls
+// never rehashes. Stops at the first malformed node; the decode proper
+// reports it.
+void ReserveTermIndexes(wire::Reader in, uint64_t num_terms,
+                        TermPool* pool) {
+  size_t ints = 0;
+  size_t names = 0;
+  size_t compounds = 0;
+  std::string_view name;
+  for (uint64_t i = 0; i < num_terms; ++i) {
+    uint8_t kind = 0;
+    uint64_t value = 0;
+    uint32_t argc = 0;
+    if (!in.ReadU8(&kind)) break;
+    bool ok = false;
+    switch (static_cast<TermKind>(kind)) {
+      case TermKind::kInt:
+        ++ints;
+        ok = in.ReadU64(&value);
+        break;
+      case TermKind::kSymbol:
+      case TermKind::kVariable:
+        ++names;
+        ok = in.ReadStringView(&name);
+        break;
+      case TermKind::kCompound:
+        ++compounds;
+        ok = in.ReadStringView(&name) && in.ReadU32(&argc) &&
+             in.remaining() / 4 >= argc;
+        if (ok) in.at += size_t{4} * argc;
+        break;
+    }
+    if (!ok) break;
+  }
+  pool->Reserve(ints, names, compounds);
+}
+
 std::string EncodeSnapshotPayload(const Database& db, uint64_t lsn) {
   std::string out;
   wire::PutU64(&out, lsn);
@@ -167,6 +205,7 @@ Status DecodeSnapshotPayload(std::string_view payload, Database* db,
   if (pool.size() > 1) {
     return InternalError("snapshot load requires a fresh Database");
   }
+  ReserveTermIndexes(in, num_terms, &pool);
   std::vector<TermId> scratch_args;
   for (uint64_t i = 0; i < num_terms; ++i) {
     uint8_t kind = 0;
@@ -180,25 +219,26 @@ Status DecodeSnapshotPayload(std::string_view payload, Database* db,
         break;
       }
       case TermKind::kSymbol: {
-        std::string name;
-        if (!in.ReadString(&name)) return CorruptError("truncated symbol");
+        std::string_view name;
+        if (!in.ReadStringView(&name)) return CorruptError("truncated symbol");
         id = pool.MakeSymbol(name);
         break;
       }
       case TermKind::kVariable: {
-        std::string name;
-        if (!in.ReadString(&name)) return CorruptError("truncated variable");
+        std::string_view name;
+        if (!in.ReadStringView(&name)) {
+          return CorruptError("truncated variable");
+        }
         id = pool.MakeVariable(name);
         break;
       }
       case TermKind::kCompound: {
-        std::string functor;
+        std::string_view functor;
         uint32_t argc = 0;
-        if (!in.ReadString(&functor) || !in.ReadU32(&argc)) {
+        if (!in.ReadStringView(&functor) || !in.ReadU32(&argc)) {
           return CorruptError("truncated compound");
         }
         scratch_args.clear();
-        scratch_args.reserve(argc);
         for (uint32_t a = 0; a < argc; ++a) {
           uint32_t arg = 0;
           if (!in.ReadU32(&arg)) return CorruptError("truncated compound arg");

@@ -3,24 +3,29 @@
 #include <algorithm>
 
 #include "common/hash.h"
-#include "common/strings.h"
 
 namespace chainsplit {
 
+bool TermPool::CompoundKey::operator==(const CompoundKey& other) const {
+  return functor_name_index == other.functor_name_index &&
+         std::equal(args.begin(), args.end(), other.args.begin(),
+                    other.args.end());
+}
+
 size_t TermPool::CompoundKeyHash::operator()(const CompoundKey& k) const {
   size_t seed = static_cast<size_t>(k.functor_name_index);
-  HashCombine(&seed, HashVector(k.args));
+  HashCombine(&seed, HashRange(k.args.data(), k.args.size()));
   return seed;
 }
 
 TermPool::TermPool() { nil_ = MakeSymbol(kNilName); }
 
 int32_t TermPool::InternNameLocked(std::string_view name) {
-  auto it = name_index_.find(std::string(name));
+  auto it = name_index_.find(name);
   if (it != name_index_.end()) return it->second;
-  int32_t index = static_cast<int32_t>(names_.size());
-  names_.push_back(std::string(name));
+  int32_t index = static_cast<int32_t>(names_.push_back(std::string(name)));
   name_index_.emplace(names_[index], index);
+  name_terms_.emplace_back();
   return index;
 }
 
@@ -42,11 +47,10 @@ TermId TermPool::MakeInt(int64_t value) {
 
 TermId TermPool::MakeSymbolLocked(std::string_view name) {
   int32_t name_index = InternNameLocked(name);
-  auto it = symbol_index_.find(name_index);
-  if (it != symbol_index_.end()) return it->second;
-  TermId id =
-      AddNodeLocked(Node{TermKind::kSymbol, /*ground=*/true, name_index});
-  symbol_index_.emplace(name_index, id);
+  TermId& id = name_terms_[name_index].symbol;
+  if (id == kNullTerm) {
+    id = AddNodeLocked(Node{TermKind::kSymbol, /*ground=*/true, name_index});
+  }
   return id;
 }
 
@@ -57,11 +61,11 @@ TermId TermPool::MakeSymbol(std::string_view name) {
 
 TermId TermPool::MakeVariableLocked(std::string_view name) {
   int32_t name_index = InternNameLocked(name);
-  auto it = variable_index_.find(name_index);
-  if (it != variable_index_.end()) return it->second;
-  TermId id =
-      AddNodeLocked(Node{TermKind::kVariable, /*ground=*/false, name_index});
-  variable_index_.emplace(name_index, id);
+  TermId& id = name_terms_[name_index].variable;
+  if (id == kNullTerm) {
+    id = AddNodeLocked(
+        Node{TermKind::kVariable, /*ground=*/false, name_index});
+  }
   return id;
 }
 
@@ -75,14 +79,15 @@ TermId TermPool::FreshVariable(std::string_view hint) {
   // an upper-case letter or '_', but the parser never produces names
   // containing '#'.
   std::lock_guard<std::mutex> lock(intern_mu_);
-  std::string name = StrCat(hint, "#", fresh_counter_++);
+  std::string name(hint);
+  name += '#';
+  name += std::to_string(fresh_counter_++);
   return MakeVariableLocked(name);
 }
 
 TermId TermPool::MakeCompoundLocked(std::string_view functor,
                                     std::span<const TermId> args) {
-  CompoundKey key{InternNameLocked(functor),
-                  std::vector<TermId>(args.begin(), args.end())};
+  CompoundKey key{InternNameLocked(functor), args};
   auto it = compound_index_.find(key);
   if (it != compound_index_.end()) return it->second;
   bool ground = true;
@@ -96,7 +101,8 @@ TermId TermPool::MakeCompoundLocked(std::string_view functor,
             static_cast<int32_t>(args_offset),
             static_cast<int32_t>(args.size())};
   TermId id = AddNodeLocked(node);
-  compound_index_.emplace(std::move(key), id);
+  key.args = this->args(id);  // the key must outlive the caller's span
+  compound_index_.emplace(key, id);
   return id;
 }
 
@@ -144,6 +150,14 @@ bool TermPool::IsCons(TermId t) const {
   const Node& node = nodes_[Index(t)];
   return node.kind == TermKind::kCompound && node.arity == 2 &&
          names_[node.payload] == kConsFunctor;
+}
+
+void TermPool::Reserve(size_t ints, size_t names, size_t compounds) {
+  std::lock_guard<std::mutex> lock(intern_mu_);
+  int_index_.reserve(int_index_.size() + ints);
+  name_index_.reserve(name_index_.size() + names);
+  name_terms_.reserve(name_terms_.size() + names);
+  compound_index_.reserve(compound_index_.size() + compounds);
 }
 
 void TermPool::CollectVariables(TermId t, std::vector<TermId>* out) const {

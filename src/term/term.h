@@ -108,6 +108,12 @@ class TermPool {
   /// occurrence order, appending to `*out`.
   void CollectVariables(TermId t, std::vector<TermId>* out) const;
 
+  /// Sizes the hash-consing indexes for `ints` more integers, `names`
+  /// more symbol/variable/functor names and `compounds` more compound
+  /// terms, so a bulk load of known size (snapshot recovery) interns
+  /// without rehashing as it goes.
+  void Reserve(size_t ints, size_t names, size_t compounds);
+
  private:
   struct Node {
     TermKind kind;
@@ -120,13 +126,21 @@ class TermPool {
     int32_t arity = 0;
   };
 
+  // Index keys view the append-only arenas, whose elements never move:
+  // a stored name key views its names_ entry and a stored compound key
+  // its args_ run, so a lookup builds no temporary string or vector.
   struct CompoundKey {
     int32_t functor_name_index;
-    std::vector<TermId> args;
-    bool operator==(const CompoundKey&) const = default;
+    std::span<const TermId> args;
+    bool operator==(const CompoundKey& other) const;
   };
   struct CompoundKeyHash {
     size_t operator()(const CompoundKey& k) const;
+  };
+  // The symbol and the variable term of one name, if interned.
+  struct NameTerms {
+    TermId symbol = kNullTerm;
+    TermId variable = kNullTerm;
   };
 
   static size_t Index(TermId t) {
@@ -151,9 +165,8 @@ class TermPool {
 
   // Hash-consing indexes; touched only under intern_mu_.
   std::unordered_map<int64_t, TermId> int_index_;
-  std::unordered_map<std::string, int32_t> name_index_;
-  std::unordered_map<int32_t, TermId> symbol_index_;    // name -> symbol term
-  std::unordered_map<int32_t, TermId> variable_index_;  // name -> var term
+  std::unordered_map<std::string_view, int32_t> name_index_;
+  std::vector<NameTerms> name_terms_;  // by name index
   std::unordered_map<CompoundKey, TermId, CompoundKeyHash> compound_index_;
 
   mutable std::mutex intern_mu_;

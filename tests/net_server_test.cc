@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -26,6 +27,7 @@
 
 #include "net/blocking_client.h"
 #include "net/epoll_engine.h"
+#include "net/event_loop.h"
 #include "net/listen.h"
 #include "service/query_service.h"
 #include "service/server.h"
@@ -441,6 +443,33 @@ TEST(NetServerTest, IdleConnectionsAddNoThreads) {
     return now >= 0 && now <= fds_before + 2;
   })) << "fd count grew from " << fds_before << " to " << CountOpenFds();
   server.Stop();
+}
+
+/// Quit() with a task still in the mailbox: Run() runs what it drained
+/// and returns. Here both wakeups (the task's and Quit's) are drained
+/// by one epoll_wait before Run() sees the task, so a loop that went
+/// back to waiting would block for good, as Stop() did when a query
+/// completion was posted just before it.
+TEST(EventLoopTest, QuitWithATaskPendingReturns) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.Init().ok());
+  bool second_ran = false;
+  std::promise<void> returned;
+  std::future<void> done = returned.get_future();
+  std::thread runner([&] {
+    loop.Run([](uint64_t, uint32_t) {});
+    returned.set_value();
+  });
+  loop.Post([&] {
+    loop.Post([&] { second_ran = true; });
+    loop.Quit();
+  });
+  const bool returned_in_time =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(returned_in_time);
+  if (!returned_in_time) loop.Quit();  // one more wakeup, so the join ends
+  runner.join();
+  EXPECT_TRUE(second_ran);
 }
 
 /// Stop() reclaims every fd and thread, with clients mid-flight.

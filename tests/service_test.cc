@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -165,6 +166,44 @@ TEST(ServiceTest, FailedUpdateLeavesNoIndexedFactBehind) {
   QueryResponse one = service.Query("?- sg(x, Y).");
   ASSERT_TRUE(one.status.ok()) << one.status;
   EXPECT_EQ(Flatten(one), "w;");
+}
+
+TEST(ServiceTest, BadCharacterAfterValidClausesChangesNothing) {
+  const std::string dir = StrCat(::testing::TempDir(), "cs_service_badchar_",
+                                 ::getpid());
+  std::filesystem::remove_all(dir);
+  {
+    QueryService service;
+    DurabilityOptions options;
+    options.data_dir = dir;
+    options.wal.sync = WalSyncPolicy::kNone;
+    ASSERT_TRUE(service.EnableDurability(options).ok());
+    SeedChain(&service, 5);
+    const Program& program = service.db().program();
+    const size_t facts = program.facts().size();
+    const size_t rules = program.rules().size();
+    const uint64_t epoch = service.rules_epoch();
+    const Relation* edge =
+        service.db().GetRelation(*program.preds().Find("edge", 2));
+    ASSERT_NE(edge, nullptr);
+    const int64_t rows = edge->num_rows();
+    const DurabilityStats wal = service.durability_stats();
+    const std::string before = Flatten(service.Query("?- tc(a0, Y)."));
+
+    // Three valid clauses (two facts and a rule), then a bad character.
+    UpdateResponse failed = service.Update(
+        "edge(a5, a6).\nedge(a6, a7).\nr(X) :- edge(X, a7).\nedge(a7, $).\n");
+    EXPECT_EQ(failed.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(failed.status.message(), "unexpected character '$' at 4:10");
+    EXPECT_EQ(program.facts().size(), facts);
+    EXPECT_EQ(program.rules().size(), rules);
+    EXPECT_EQ(service.rules_epoch(), epoch);
+    EXPECT_EQ(edge->num_rows(), rows);
+    EXPECT_EQ(service.durability_stats().wal_records, wal.wal_records);
+    EXPECT_EQ(service.durability_stats().wal_bytes, wal.wal_bytes);
+    EXPECT_EQ(Flatten(service.Query("?- tc(a0, Y).")), before);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServiceTest, CsvLoadIntoAnIdbPredicateInvalidatesItsCachedQuery) {

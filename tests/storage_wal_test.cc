@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -48,6 +49,40 @@ TEST(Crc32Test, KnownVectors) {
   EXPECT_EQ(Crc32("a"), 0xE8B7BE43u);
   EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
             0x414FA339u);
+}
+
+// The plain bytewise table loop: the reference the slice-by-8 Crc32
+// must agree with on every length and alignment.
+uint32_t BytewiseCrc32(const unsigned char* bytes, size_t size,
+                       uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseLoopAtAnyLengthAndAlignment) {
+  std::mt19937_64 rng(20261018);
+  std::vector<unsigned char> buffer(4096 + 16);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng());
+  for (int round = 0; round < 2000; ++round) {
+    const size_t offset = rng() % 16;
+    const size_t size = round < 64 ? static_cast<size_t>(round)
+                                   : static_cast<size_t>(rng() % 4097);
+    const uint32_t seed = round % 2 == 0 ? 0 : static_cast<uint32_t>(rng());
+    const unsigned char* start = buffer.data() + offset;
+    ASSERT_EQ(Crc32(start, size, seed), BytewiseCrc32(start, size, seed))
+        << "size " << size << " offset " << offset << " seed " << seed;
+  }
 }
 
 TEST(Crc32Test, SeedChainsPartialComputations) {
