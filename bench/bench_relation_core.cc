@@ -203,57 +203,6 @@ BENCHMARK(BM_UnionWith<LegacyRelation>)
     ->Arg(1 << 14)
     ->Arg(1 << 17);
 
-// Build cost of the partitioned join's build side (PartitionedView:
-// assign + per-partition table builds + seal), single-threaded here —
-// the parallel build is bench_partitioned_join's job.
-void BM_PartitionedViewBuild(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Relation rel(2);
-  FillRelation(&rel, n);
-  for (auto _ : state) {
-    PartitionedView view({0}, 16);
-    view.AssignRows(rel);
-    for (int p = 0; p < view.num_partitions(); ++p) {
-      view.BuildPartition(rel, p);
-    }
-    view.Finish(rel);
-    benchmark::DoNotOptimize(view.skew().max_rows);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-// Hashed single-partition probe, the partitioned join's inner loop;
-// compare against arena/Probe (the relation-wide index) at equal n.
-void BM_PartitionedViewProbe(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Relation rel(2);
-  FillRelation(&rel, n);
-  PartitionedView view({0}, 16);
-  view.AssignRows(rel);
-  for (int p = 0; p < view.num_partitions(); ++p) view.BuildPartition(rel, p);
-  view.Finish(rel);
-  Relation::ProbeCounters counters;
-  int64_t sum = 0;
-  for (auto _ : state) {
-    for (TermId k = 0; k < 211; ++k) {
-      const size_t h = PartitionedView::KeyHash(&k, 1);
-      view.ProbeEachHashed(rel, view.PartitionOfHash(h), &k, h, &counters,
-                           [&](int64_t j) { sum += rel.row(j)[1]; });
-    }
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-BENCHMARK(BM_PartitionedViewBuild)
-    ->Name("arena/PartitionedViewBuild")
-    ->Arg(1 << 16)
-    ->Arg(1 << 18);
-BENCHMARK(BM_PartitionedViewProbe)
-    ->Name("arena/PartitionedViewProbe")
-    ->Arg(1 << 16)
-    ->Arg(1 << 17);
-
 }  // namespace
 }  // namespace chainsplit
 

@@ -11,8 +11,9 @@
 # CHAINSPLIT_SKIP_BENCHES gates heavyweight benches out of the default
 # sweep: a comma-separated list of names (with or without the bench_
 # prefix) skipped when no explicit bench list is given. Example:
-#   CHAINSPLIT_SKIP_BENCHES=partitioned_join bench/run_benchmarks.sh
-# skips the 8-thread partitioned-join comparison on constrained hosts.
+#   CHAINSPLIT_SKIP_BENCHES=net_saturation,service_throughput bench/run_benchmarks.sh
+# skips the multi-client front-end and service sweeps on constrained
+# hosts.
 # Explicitly listed benches always run.
 #
 # The JSON is written with --benchmark_out, NOT --benchmark_format:

@@ -13,8 +13,7 @@ inline void HashCombine(size_t* seed, size_t value) {
 }
 
 /// Final avalanche over a hash-combine chain (murmur3 finalizer) so
-/// consumers of low bits (linear probing) and of high bits (the
-/// partitioned join's partition selector) both see well-spread bits.
+/// linear probing, which masks the low bits, sees well-spread bits.
 inline size_t HashFinalize(size_t h) {
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;

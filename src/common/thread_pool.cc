@@ -1,57 +1,23 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
 
-#if defined(CHAINSPLIT_HAVE_NUMA)
-#include <numa.h>
-#endif
-
 namespace chainsplit {
 namespace {
 
-/// NUMA nodes available to bind workers to; 1 when libnuma is absent
-/// or the machine is single-node (the graceful fallback path).
-int DetectNumaNodes() {
-#if defined(CHAINSPLIT_HAVE_NUMA)
-  if (numa_available() < 0) return 1;
-  return numa_max_node() + 1;
-#else
-  return 1;
-#endif
-}
-
-/// Binds the calling worker thread to `node` so its allocations are
-/// first-touched node-locally. No-op without libnuma.
-void BindWorkerToNode(int node, int nodes) {
-#if defined(CHAINSPLIT_HAVE_NUMA)
-  if (nodes <= 1) return;
-  numa_run_on_node(node);
-  numa_set_preferred(node);
-#else
-  (void)node;
-  (void)nodes;
-#endif
-}
-
-/// Identity of the pool worker running on this thread, set for the
-/// lifetime of WorkerLoop. Lets WorkGroup::Wait() detect that it is
-/// being called from inside a pool task, where sleeping would strand
-/// the worker (nested-submission deadlock: every worker blocked on a
-/// child group none of them can drain).
-struct WorkerIdentity {
-  ThreadPool* pool = nullptr;
-  int worker = -1;
-};
-thread_local WorkerIdentity g_worker_identity;
+/// The pool whose WorkerLoop runs on this thread (null elsewhere). Lets
+/// WorkGroup::Wait() detect that it is being called from inside a pool
+/// task, where sleeping would strand the worker (nested-submission
+/// deadlock: every worker blocked on a child group none of them can
+/// drain).
+thread_local const ThreadPool* g_worker_pool = nullptr;
 
 }  // namespace
 
 void ThreadPool::WorkGroup::Wait() {
-  const int worker = pool_ == nullptr ? -1 : pool_->CurrentWorkerIndex();
-  if (worker < 0) {
+  if (pool_ == nullptr || !pool_->OnWorkerThread()) {
     // External thread: nothing useful to do but sleep.
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return pending_ == 0; });
@@ -59,7 +25,7 @@ void ThreadPool::WorkGroup::Wait() {
   }
   // Pool worker: help while waiting. Run queued tasks inline (any
   // group's — draining foreign work still frees workers that may be
-  // running ours). When the queues are empty our remaining tasks are
+  // running ours). When the queue is empty our remaining tasks are
   // running on other workers; poll with a short timed wait because a
   // foreign task finishing will not signal this group's cv_.
   for (;;) {
@@ -67,7 +33,7 @@ void ThreadPool::WorkGroup::Wait() {
       std::unique_lock<std::mutex> lock(mu_);
       if (pending_ == 0) return;
     }
-    if (pool_->RunOneTask(worker)) continue;
+    if (pool_->RunOneTask()) continue;
     std::unique_lock<std::mutex> lock(mu_);
     if (cv_.wait_for(lock, std::chrono::milliseconds(1),
                      [this] { return pending_ == 0; })) {
@@ -86,11 +52,9 @@ ThreadPool::ThreadPool(int num_threads) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
     if (num_threads <= 0) num_threads = 1;
   }
-  numa_nodes_ = DetectNumaNodes();
-  hinted_.resize(num_threads);
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -102,69 +66,44 @@ ThreadPool::~ThreadPool() {
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
   // default_group_ is destroyed after this body; its Wait() returns
-  // immediately because the joined workers drained every queue.
+  // immediately because the joined workers drained the queue.
 }
 
-bool ThreadPool::PopTask(int worker, Task* task) {
-  std::deque<Task>& own = hinted_[worker];
-  if (!own.empty()) {
-    *task = std::move(own.front());
-    own.pop_front();
-  } else if (!shared_queue_.empty()) {
-    *task = std::move(shared_queue_.front());
-    shared_queue_.pop_front();
-  } else {
-    // Steal the oldest task of the nearest busy neighbour; hints are
-    // preferences, not fences, so an idle worker always makes progress.
-    int victim = -1;
-    const int n = size();
-    for (int d = 1; d < n; ++d) {
-      const int w = (worker + d) % n;
-      if (!hinted_[w].empty()) {
-        victim = w;
-        break;
-      }
-    }
-    if (victim < 0) return false;
-    *task = std::move(hinted_[victim].front());
-    hinted_[victim].pop_front();
-  }
-  --queued_;
+bool ThreadPool::PopTask(Task* task) {
+  if (queue_.empty()) return false;
+  *task = std::move(queue_.front());
+  queue_.pop_front();
   return true;
 }
 
-int ThreadPool::CurrentWorkerIndex() const {
-  return g_worker_identity.pool == this ? g_worker_identity.worker : -1;
-}
+bool ThreadPool::OnWorkerThread() const { return g_worker_pool == this; }
 
-bool ThreadPool::RunOneTask(int worker) {
+bool ThreadPool::RunOneTask() {
   Task task;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (!PopTask(worker, &task)) return false;
+    if (!PopTask(&task)) return false;
   }
   task.fn();
   task.group->OnTaskDone();
   return true;
 }
 
-void ThreadPool::WorkerLoop(int worker) {
-  BindWorkerToNode(worker % numa_nodes_, numa_nodes_);
-  g_worker_identity = {this, worker};
+void ThreadPool::WorkerLoop() {
+  g_worker_pool = this;
   while (true) {
     Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
-      if (!PopTask(worker, &task)) return;  // stop_ set, queues drained
+      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (!PopTask(&task)) return;  // stop_ set, queue drained
     }
     task.fn();
     task.group->OnTaskDone();
   }
 }
 
-void ThreadPool::SubmitTask(WorkGroup* group, std::function<void()> task,
-                            int hint) {
+void ThreadPool::SubmitTask(WorkGroup* group, std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(group->mu_);
     ++group->pending_;
@@ -172,42 +111,9 @@ void ThreadPool::SubmitTask(WorkGroup* group, std::function<void()> task,
   {
     std::unique_lock<std::mutex> lock(mu_);
     CS_CHECK(!stop_) << "Submit on a stopping ThreadPool";
-    if (hint >= 0) {
-      hinted_[hint % size()].push_back(Task{std::move(task), group});
-    } else {
-      shared_queue_.push_back(Task{std::move(task), group});
-    }
-    ++queued_;
+    queue_.push_back(Task{std::move(task), group});
   }
-  // Hinted tasks broadcast: the preferred worker may be mid-sleep and
-  // notify_one could wake only a stealer.
-  if (hint >= 0) {
-    work_cv_.notify_all();
-  } else {
-    work_cv_.notify_one();
-  }
-}
-
-void ThreadPool::ParallelFor(
-    int64_t begin, int64_t end, int64_t min_grain,
-    const std::function<void(int64_t, int64_t)>& body) {
-  const int64_t n = end - begin;
-  if (n <= 0) return;
-  if (min_grain < 1) min_grain = 1;
-  int64_t chunks = std::min<int64_t>(size(), (n + min_grain - 1) / min_grain);
-  if (chunks <= 1) {
-    body(begin, end);
-    return;
-  }
-  const int64_t chunk = (n + chunks - 1) / chunks;
-  WorkGroup group(this);
-  for (int64_t c = 0; c < chunks; ++c) {
-    const int64_t b = begin + c * chunk;
-    const int64_t e = std::min(end, b + chunk);
-    if (b >= e) break;
-    group.Submit([&body, b, e] { body(b, e); }, static_cast<int>(c));
-  }
-  group.Wait();
+  work_cv_.notify_one();
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -11,34 +11,22 @@
 
 namespace chainsplit {
 
-/// A small fixed-size work-queue thread pool for data-parallel
-/// relational operators (see HashJoin in rel/ops.cc).
+/// A small fixed-size work-queue thread pool: the SCC schedule runs
+/// independent strata on it (core/scc_schedule.h) and the batch driver
+/// runs its clients on it (service/batch_driver.h).
 ///
 /// Scheduling: every task belongs to a WorkGroup (a per-caller
 /// completion counter), so independent callers — two concurrent
-/// service queries, a join and a ParallelFor — wait only for their own
-/// tasks, never each other's. Tasks may carry an *affinity hint*: a
-/// hinted task is queued on worker `hint % size()` and taken by that
-/// worker first, so repeated submissions with the same hint land on
-/// the same worker and its caches stay warm (the partitioned join
-/// hints partition p to worker p). Hints are soft — an idle worker
-/// steals from other workers' queues, so progress never depends on
-/// the hinted worker being free.
-///
-/// When built with CHAINSPLIT_HAVE_NUMA (CMake detects numa.h +
-/// libnuma) and the machine has more than one NUMA node, worker i is
-/// bound to node i % nodes at startup, so memory first-touched inside
-/// a hinted task is allocated on the node of the worker that will
-/// keep probing it. Without libnuma (or on one node) this is a no-op.
+/// service queries, say — wait only for their own tasks, never each
+/// other's. Tasks run in submission order from one shared queue.
 ///
 /// Usage contract: tasks must not throw. Nested submission is safe:
 /// a task running on a pool worker may submit child tasks (its own
-/// WorkGroup, ParallelFor, a nested join) and Wait() on them — a
-/// worker blocked in Wait() *helps*, draining queued tasks inline
-/// instead of sleeping, so a saturated pool cannot deadlock on child
-/// work (see WorkGroup::Wait). Determinism is the caller's job —
-/// partition work into chunks, give each chunk private output
-/// storage, and merge in chunk order after Wait() returns.
+/// WorkGroup) and Wait() on them — a worker blocked in Wait() *helps*,
+/// draining queued tasks inline instead of sleeping, so a saturated
+/// pool cannot deadlock on child work (see WorkGroup::Wait).
+/// Determinism is the caller's job — give each task private output
+/// storage and merge in a fixed order after Wait() returns.
 class ThreadPool {
  public:
   /// A per-caller completion token: counts only the tasks submitted
@@ -51,10 +39,9 @@ class ThreadPool {
     WorkGroup(const WorkGroup&) = delete;
     WorkGroup& operator=(const WorkGroup&) = delete;
 
-    /// Enqueues `task`. `affinity_hint` >= 0 prefers worker
-    /// `hint % size()`; -1 lets any worker take it.
-    void Submit(std::function<void()> task, int affinity_hint = -1) {
-      pool_->SubmitTask(this, std::move(task), affinity_hint);
+    /// Enqueues `task`.
+    void Submit(std::function<void()> task) {
+      pool_->SubmitTask(this, std::move(task));
     }
 
     /// Blocks until every task submitted through *this group* is done.
@@ -81,27 +68,15 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// NUMA nodes the workers are spread over (1 without libnuma).
-  int numa_nodes() const { return numa_nodes_; }
-
   /// Enqueues `task` on the pool's default group (see Wait()).
   void Submit(std::function<void()> task) {
-    SubmitTask(&default_group_, std::move(task), -1);
+    SubmitTask(&default_group_, std::move(task));
   }
 
   /// Blocks until every task submitted via Submit() has finished.
   /// Tasks submitted through explicit WorkGroups are *not* waited for
   /// — callers with private groups wait on those instead.
   void Wait() { default_group_.Wait(); }
-
-  /// Splits [begin, end) into at most size() contiguous chunks of at
-  /// least `min_grain` items and runs `body(chunk_begin, chunk_end)`
-  /// on the workers, blocking until all chunks are done. Runs inline
-  /// when the range is below min_grain or the pool has one thread.
-  /// Uses a private WorkGroup, so concurrent ParallelFor callers do
-  /// not wait on each other's chunks.
-  void ParallelFor(int64_t begin, int64_t end, int64_t min_grain,
-                   const std::function<void(int64_t, int64_t)>& body);
 
   /// Process-wide pool, sized to the hardware, created on first use.
   static ThreadPool& Shared();
@@ -112,28 +87,23 @@ class ThreadPool {
     WorkGroup* group;
   };
 
-  void SubmitTask(WorkGroup* group, std::function<void()> task, int hint);
-  void WorkerLoop(int worker);
-  /// Pops the next task for `worker` (own hinted queue, then the
-  /// shared queue, then stealing). Caller holds mu_; returns false
-  /// when no task is queued anywhere.
-  bool PopTask(int worker, Task* task);
-  /// Index of the calling thread in this pool's workers_, or -1 when
-  /// the caller is not one of this pool's workers.
-  int CurrentWorkerIndex() const;
+  void SubmitTask(WorkGroup* group, std::function<void()> task);
+  void WorkerLoop();
+  /// Pops the oldest queued task. Caller holds mu_; returns false when
+  /// the queue is empty.
+  bool PopTask(Task* task);
+  /// True when the calling thread is one of this pool's workers.
+  bool OnWorkerThread() const;
   /// Pops and runs one queued task on the calling thread (used by a
-  /// worker helping while it waits). Returns false when every queue
-  /// was empty.
-  bool RunOneTask(int worker);
+  /// worker helping while it waits). Returns false when the queue was
+  /// empty.
+  bool RunOneTask();
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_cv_;  // signals workers: task or stop
-  std::deque<Task> shared_queue_;    // unhinted tasks
-  std::vector<std::deque<Task>> hinted_;  // one queue per worker
-  int64_t queued_ = 0;  // tasks across all queues (wake predicate)
+  std::deque<Task> queue_;
   bool stop_ = false;
-  int numa_nodes_ = 1;
   WorkGroup default_group_{this};
 };
 

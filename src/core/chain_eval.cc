@@ -1,16 +1,9 @@
 #include "core/chain_eval.h"
 
 #include "common/strings.h"
-#include "rel/ops.h"
 
 namespace chainsplit {
 namespace {
-
-/// Delta rows at which the closure step switches from the per-row
-/// probe loop to HashJoin (which parallelizes above its own
-/// threshold). Below this the per-iteration scratch relation costs
-/// more than it saves.
-constexpr int64_t kJoinStepMinDeltaRows = 512;
 
 /// Semi-naive closure kernel: repeatedly extends `delta` by one `edge`
 /// step, accumulating into `*result` (arity 2: (origin, reached)).
@@ -33,33 +26,16 @@ Status Closure(const Relation& edge, Relation* result, Relation&& delta0,
                  " iterations"));
     }
     Relation next(2);
-    if (delta.num_rows() >= kJoinStepMinDeltaRows) {
-      // One bulk join step: delta.reached == edge.from, projected to
-      // (delta.origin, edge.to). HashJoin emits candidates in
-      // (delta row, edge posting) order — exactly the probe loop's
-      // order below — so result/next contents and row order are
-      // identical on either path, and the join parallelizes when the
-      // delta is large enough (see rel/ops.h).
-      static const JoinSpec kStep({{1, 0}});
-      Relation cand(2);
-      HashJoin(delta, edge, kStep, {0, 3}, &cand);
-      for (int64_t i = 0; i < cand.num_rows(); ++i) {
-        Relation::Row r = cand.row(i);
-        if (result->Insert(r)) next.Insert(r);
-      }
-      stats->hash_collisions += cand.telemetry().hash_collisions;
-    } else {
-      TermId key;
-      Tuple out(2);
-      for (int64_t i = 0; i < delta.num_rows(); ++i) {
-        Relation::Row t = delta.row(i);
-        key = t[1];
-        out[0] = t[0];
-        edge.ProbeEach(from_col, &key, [&](int64_t j) {
-          out[1] = edge.row(j)[1];
-          if (result->Insert(out)) next.Insert(out);
-        });
-      }
+    TermId key;
+    Tuple out(2);
+    for (int64_t i = 0; i < delta.num_rows(); ++i) {
+      Relation::Row t = delta.row(i);
+      key = t[1];
+      out[0] = t[0];
+      edge.ProbeEach(from_col, &key, [&](int64_t j) {
+        out[1] = edge.row(j)[1];
+        if (result->Insert(out)) next.Insert(out);
+      });
     }
     stats->delta_tuples += next.size();
     stats->hash_collisions += delta.telemetry().hash_collisions;

@@ -20,8 +20,7 @@ namespace chainsplit {
 /// trace was requested (`:trace on` or an armed slow-query log).
 ///
 /// A Trace is confined to the evaluating thread (one query evaluates
-/// on one thread; parallel join workers are below the span
-/// granularity), so it needs no synchronization.
+/// on one thread), so it needs no synchronization.
 ///
 /// Storage is tuned so recording stays invisible next to evaluation:
 /// spans and attributes are flat PODs held inline in the Trace object

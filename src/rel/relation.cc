@@ -1,6 +1,7 @@
 #include "rel/relation.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace chainsplit {
 namespace {
@@ -32,19 +33,15 @@ void Relation::DeleteIndexes() {
   num_indexes_.store(0, std::memory_order_release);
 }
 
-// Out-of-line: pviews_ holds shared_ptrs to a type that is incomplete
-// at the member's declaration point, and the atomic members rule out
-// the defaulted special members. Moves happen only in single-threaded
-// contexts (no concurrent reader may hold a reference across a move).
-Relation::~Relation() { DeleteIndexes(); }
-
+// The atomic members rule out the defaulted move members. Moves happen
+// only in single-threaded contexts (no concurrent reader may hold a
+// reference across a move).
 Relation::Relation(Relation&& other) noexcept
     : arity_(other.arity_),
       num_rows_(other.num_rows_),
       version_(other.version_),
       arena_(std::move(other.arena_)),
       slots_(std::move(other.slots_)),
-      pviews_(std::move(other.pviews_)),
       insert_attempts_(other.insert_attempts_),
       compactions_(other.compactions_) {
   const int n = other.num_indexes_.load(std::memory_order_relaxed);
@@ -71,7 +68,6 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   version_ = other.version_;
   arena_ = std::move(other.arena_);
   slots_ = std::move(other.slots_);
-  pviews_ = std::move(other.pviews_);
   insert_attempts_ = other.insert_attempts_;
   compactions_ = other.compactions_;
   const int n = other.num_indexes_.load(std::memory_order_relaxed);
@@ -89,52 +85,6 @@ Relation& Relation::operator=(Relation&& other) noexcept {
       std::memory_order_relaxed);
   other.num_rows_ = 0;
   return *this;
-}
-
-std::shared_ptr<PartitionedView> Relation::FindPartitionedView(
-    const std::vector<int>& columns, int partitions) const {
-  std::lock_guard<std::mutex> lock(pview_mu_);
-  for (size_t i = 0; i < pviews_.size(); ++i) {
-    const std::shared_ptr<PartitionedView>& view = pviews_[i];
-    if (view->columns() == columns && view->num_partitions() == partitions) {
-      // LRU touch: rotate the hit to the back (most recent) without
-      // disturbing the relative order of the others.
-      std::rotate(pviews_.begin() + i, pviews_.begin() + i + 1,
-                  pviews_.end());
-      return pviews_.back();
-    }
-  }
-  return nullptr;
-}
-
-std::shared_ptr<PartitionedView> Relation::CachePartitionedView(
-    std::unique_ptr<PartitionedView> view) const {
-  std::lock_guard<std::mutex> lock(pview_mu_);
-  for (size_t i = 0; i < pviews_.size(); ++i) {
-    std::shared_ptr<PartitionedView>& slot = pviews_[i];
-    if (slot->columns() == view->columns() &&
-        slot->num_partitions() == view->num_partitions()) {
-      // Lost a build race: another thread already attached a view for
-      // this key. Keep the incumbent unless it is strictly older — the
-      // winner's view is identical (same key, same version), so the
-      // loser reuses it. Replacing a strictly older entry is safe even
-      // with concurrent probes in flight: those readers hold their own
-      // shared_ptr, so the old view outlives them.
-      if (slot->built_version() < view->built_version()) {
-        slot = std::shared_ptr<PartitionedView>(std::move(view));
-      }
-      std::rotate(pviews_.begin() + i, pviews_.begin() + i + 1,
-                  pviews_.end());
-      return pviews_.back();
-    }
-  }
-  if (static_cast<int>(pviews_.size()) >= kMaxPartitionedViews) {
-    // Evict the least recently used entry. Any join still probing it
-    // keeps it alive through its own shared_ptr.
-    pviews_.erase(pviews_.begin());
-  }
-  pviews_.push_back(std::shared_ptr<PartitionedView>(std::move(view)));
-  return pviews_.back();
 }
 
 void Relation::Reserve(int64_t n) {
@@ -228,18 +178,25 @@ bool Relation::InsertRow(const TermId* row) {
   return true;
 }
 
-uint32_t Relation::FindBucketCounted(const Index& index, const TermId* key,
-                                     int64_t* collisions) const {
+uint32_t Relation::FindBucket(const Index& index, const TermId* key) const {
   if (index.slots.empty()) return kEmpty;
+  int64_t collisions = 0;
+  uint32_t found = kEmpty;
   const size_t mask = index.slots.size() - 1;
   size_t idx = KeyHash(key, index.columns.size()) & mask;
   while (index.slots[idx] != kEmpty) {
     const Index::Bucket& bucket = index.buckets[index.slots[idx]];
-    if (RowKeyEquals(bucket.rep, index.columns, key)) return index.slots[idx];
-    ++*collisions;
+    if (RowKeyEquals(bucket.rep, index.columns, key)) {
+      found = index.slots[idx];
+      break;
+    }
+    ++collisions;
     idx = (idx + 1) & mask;
   }
-  return kEmpty;
+  if (collisions != 0) {
+    hash_collisions_.fetch_add(collisions, std::memory_order_relaxed);
+  }
+  return found;
 }
 
 void Relation::GrowIndexSlots(Index* index) const {
@@ -412,115 +369,6 @@ Relation::CompactionStats Relation::CompactPostings() {
     }
     index.pool = std::move(packed);
     stats.blocks_after += static_cast<int64_t>(index.pool.size());
-  }
-  return stats;
-}
-
-PartitionedView::PartitionedView(std::vector<int> columns,
-                                 int num_partitions)
-    : columns_(std::move(columns)) {
-  CS_CHECK(num_partitions >= 1 && num_partitions <= kMaxPartitions &&
-           (num_partitions & (num_partitions - 1)) == 0)
-      << "partition count must be a power of two in [1, " << kMaxPartitions
-      << "], got " << num_partitions;
-  CS_CHECK(!columns_.empty()) << "PartitionedView requires key columns";
-  parts_.resize(static_cast<size_t>(num_partitions));
-}
-
-void PartitionedView::AssignRows(const Relation& rel) {
-  const int64_t n = rel.num_rows();
-  row_hashes_.resize(static_cast<size_t>(n));
-  std::vector<int64_t> counts(parts_.size(), 0);
-  TermId key[16];
-  const size_t width = columns_.size();
-  CS_CHECK(width <= 16) << "join key wider than 16 columns";
-  for (int64_t i = 0; i < n; ++i) {
-    const TermId* r = rel.row(i).data();
-    for (size_t k = 0; k < width; ++k) key[k] = r[columns_[k]];
-    const size_t h = KeyHash(key, width);
-    row_hashes_[static_cast<size_t>(i)] = h;
-    ++counts[static_cast<size_t>(PartitionOfHash(h))];
-  }
-  for (size_t p = 0; p < parts_.size(); ++p) {
-    parts_[p].row_ids.clear();
-    parts_[p].row_ids.reserve(static_cast<size_t>(counts[p]));
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    const int p = PartitionOfHash(row_hashes_[static_cast<size_t>(i)]);
-    parts_[static_cast<size_t>(p)].row_ids.push_back(
-        static_cast<uint32_t>(i));
-  }
-}
-
-void PartitionedView::BuildPartition(const Relation& rel, int p) {
-  Part& part = parts_[static_cast<size_t>(p)];
-  const size_t nrows = part.row_ids.size();
-  part.buckets.clear();
-  part.pool.clear();
-  if (nrows == 0) {
-    part.slots.clear();
-    return;
-  }
-  // Pre-size for one bucket per row (the worst case) so the build
-  // never rehashes: all memory is touched exactly once, here, on the
-  // building worker.
-  part.slots.assign(NextPow2(SlotsFor(nrows)), kEmpty);
-  part.pool.reserve(nrows / PostingBlock::kCapacity + 1);
-  const size_t mask = part.slots.size() - 1;
-  for (uint32_t row_id : part.row_ids) {
-    const TermId* row = rel.row(static_cast<int64_t>(row_id)).data();
-    size_t idx = row_hashes_[row_id] & mask;
-    bool appended = false;
-    while (part.slots[idx] != kEmpty) {
-      Bucket& bucket = part.buckets[part.slots[idx]];
-      const TermId* rep = rel.row(static_cast<int64_t>(bucket.rep)).data();
-      bool same = true;
-      for (int c : columns_) {
-        if (rep[c] != row[c]) {
-          same = false;
-          break;
-        }
-      }
-      if (same) {
-        PostingBlock& tail = part.pool[bucket.tail];
-        if (tail.count < PostingBlock::kCapacity) {
-          tail.rows[tail.count++] = row_id;
-        } else {
-          const uint32_t node = static_cast<uint32_t>(part.pool.size());
-          part.pool.push_back(
-              PostingBlock{{row_id}, 1, Relation::Postings::kNull});
-          part.pool[bucket.tail].next = node;
-          bucket.tail = node;
-        }
-        ++bucket.count;
-        appended = true;
-        break;
-      }
-      idx = (idx + 1) & mask;
-    }
-    if (appended) continue;
-    const uint32_t node = static_cast<uint32_t>(part.pool.size());
-    part.pool.push_back(PostingBlock{{row_id}, 1, Relation::Postings::kNull});
-    part.slots[idx] = static_cast<uint32_t>(part.buckets.size());
-    part.buckets.push_back(Bucket{node, node, 1, row_id});
-  }
-}
-
-void PartitionedView::Finish(const Relation& rel) {
-  built_version_ = rel.version();
-  row_hashes_.clear();
-  row_hashes_.shrink_to_fit();
-}
-
-PartitionedView::SkewStats PartitionedView::skew() const {
-  SkewStats stats;
-  stats.partitions = num_partitions();
-  stats.min_rows = parts_.empty() ? 0 : partition_rows(0);
-  for (int p = 0; p < num_partitions(); ++p) {
-    const int64_t rows = partition_rows(p);
-    stats.total_rows += rows;
-    stats.max_rows = std::max(stats.max_rows, rows);
-    stats.min_rows = std::min(stats.min_rows, rows);
   }
   return stats;
 }

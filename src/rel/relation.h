@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -15,8 +14,6 @@
 #include "term/term.h"
 
 namespace chainsplit {
-
-class PartitionedView;
 
 /// A database tuple: one interned TermId per column. All values are
 /// ground terms, so tuple equality is memberwise integer equality.
@@ -180,15 +177,8 @@ class Relation {
     int64_t moved_blocks = 0;   // non-adjacent chain links eliminated
   };
 
-  /// Thread-local probe counters for concurrent readers (parallel
-  /// hash join); merged back with MergeProbeCounters.
-  struct ProbeCounters {
-    int64_t probes = 0;
-    int64_t collisions = 0;
-  };
-
   explicit Relation(int arity) : arity_(arity) {}
-  ~Relation();  // out-of-line: pviews_ holds an incomplete type here
+  ~Relation() { DeleteIndexes(); }  // the index slots own their Index
   Relation(const Relation&) = delete;
   Relation& operator=(const Relation&) = delete;
   Relation(Relation&&) noexcept;
@@ -272,56 +262,6 @@ class Relation {
     GetOrBuildIndex(columns);
   }
 
-  /// Read-only probe for concurrent readers: requires EnsureIndex to
-  /// have been called for `columns`; avoids even the relaxed atomic
-  /// counter bumps by counting into `*local` instead (merge with
-  /// MergeProbeCounters).
-  template <typename Fn>
-  void ProbeEachShared(const std::vector<int>& columns, const TermId* key,
-                       ProbeCounters* local, Fn&& fn) const {
-    ++local->probes;
-    const Index* index = FindIndex(columns);
-    CS_DCHECK(index != nullptr) << "ProbeEachShared without EnsureIndex";
-    uint32_t bucket = FindBucketCounted(*index, key, &local->collisions);
-    if (bucket == kEmpty) return;
-    for (uint32_t at = index->buckets[bucket].head; at != Postings::kNull;) {
-      const PostingBlock block = index->pool[at];  // by value, as ProbeEach
-      for (uint32_t s = 0; s < block.count; ++s) {
-        fn(static_cast<int64_t>(block.rows[s]));
-      }
-      at = block.next;
-    }
-  }
-  void MergeProbeCounters(const ProbeCounters& local) const {
-    probes_.fetch_add(local.probes, std::memory_order_relaxed);
-    hash_collisions_.fetch_add(local.collisions, std::memory_order_relaxed);
-  }
-
-  /// Cached hash-partitioned views of this relation (see
-  /// PartitionedView below): a small LRU keyed by (columns,
-  /// partitions), at most kMaxPartitionedViews entries, so two
-  /// concurrent evaluations joining this relation on different column
-  /// sets (or partition counts) each keep their own view warm instead
-  /// of evicting each other every probe. Built and attached by the
-  /// partitioned HashJoin; an entry survives inserts but goes stale
-  /// (built_version() != version()) and is rebuilt by the next join.
-  /// Both calls are mutex-guarded, and entries are handed out as
-  /// shared_ptr: a view evicted or replaced while another join still
-  /// probes it stays alive until the last holder drops its reference
-  /// — eviction can never destroy a view mid-probe.
-  /// CachePartitionedView keeps the incumbent (and discards `view`)
-  /// when an entry built against the same or a newer version already
-  /// exists, so concurrent build-race losers reuse the winner's view.
-  std::shared_ptr<PartitionedView> FindPartitionedView(
-      const std::vector<int>& columns, int partitions) const;
-  std::shared_ptr<PartitionedView> CachePartitionedView(
-      std::unique_ptr<PartitionedView> view) const;
-
-  /// Capacity of the partitioned-view LRU. Keys come from join column
-  /// sets over small arities; a handful covers every concurrent
-  /// evaluation shape seen in practice.
-  static constexpr int kMaxPartitionedViews = 8;
-
   /// Copies every tuple of `other` into this relation; returns the
   /// number of new tuples.
   int64_t UnionWith(const Relation& other);
@@ -390,8 +330,7 @@ class Relation {
   }
 
   /// Final avalanche over the hash-combine chain so linear probing sees
-  /// well-spread low bits (shared with PartitionedView, which must
-  /// partition probe keys and stored rows identically).
+  /// well-spread low bits.
   static size_t MixHash(size_t h) { return HashFinalize(h); }
   size_t RowHash(const TermId* row) const {
     return MixHash(HashRange(row, static_cast<size_t>(arity_)));
@@ -422,16 +361,7 @@ class Relation {
   Index& GetOrBuildIndex(const std::vector<int>& columns) const;
   Index* FindIndex(const std::vector<int>& columns) const;
   /// Slot whose bucket matches `key`, or kEmpty.
-  uint32_t FindBucket(const Index& index, const TermId* key) const {
-    int64_t collisions = 0;
-    uint32_t bucket = FindBucketCounted(index, key, &collisions);
-    if (collisions != 0) {
-      hash_collisions_.fetch_add(collisions, std::memory_order_relaxed);
-    }
-    return bucket;
-  }
-  uint32_t FindBucketCounted(const Index& index, const TermId* key,
-                             int64_t* collisions) const;
+  uint32_t FindBucket(const Index& index, const TermId* key) const;
   void IndexInsert(Index* index, uint32_t row_id, int64_t* collisions) const;
   void GrowIndexSlots(Index* index) const;
   void DeleteIndexes();
@@ -455,159 +385,10 @@ class Relation {
   mutable std::array<std::atomic<Index*>, kMaxIndexes> index_slots_{};
   mutable std::atomic<int> num_indexes_{0};
   mutable std::mutex index_mu_;  // serializes index builds
-  // LRU order: least recently used at the front, most recent at the
-  // back. Find moves the hit to the back; Cache evicts the front when
-  // a new key would exceed kMaxPartitionedViews.
-  mutable std::vector<std::shared_ptr<PartitionedView>> pviews_;
-  mutable std::mutex pview_mu_;  // guards pviews_
   int64_t insert_attempts_ = 0;
   int64_t compactions_ = 0;
   mutable std::atomic<int64_t> probes_{0};
   mutable std::atomic<int64_t> hash_collisions_{0};
-};
-
-/// A hash-partitioned, read-only view of one relation's rows keyed on
-/// a column subset: partition p owns exactly the rows whose key hash
-/// selects p, with an independent hash table (open-addressing slots,
-/// implicit-key buckets, private unrolled posting pool) per partition
-/// — the build side of the topology-aware partitioned HashJoin
-/// (docs/perf_notes.md). A probe key hashes to exactly one partition,
-/// so a worker that owns partition p probes a table ~1/P the size of
-/// the relation-wide index, and the table stays hot in that worker's
-/// cache across fixpoint iterations.
-///
-/// Build is two-phase so the caller controls memory placement:
-/// AssignRows() (single-threaded) hashes every row and scatters row
-/// ids per partition; BuildPartition(p) builds one partition's table
-/// and is safe to run concurrently for distinct p — run it on the
-/// worker that will probe p, so with NUMA-bound workers the table is
-/// first-touched on that worker's node. Finish(version) seals the
-/// view. The view borrows row ids into the relation's arena and does
-/// not copy tuples; it never mutates the relation (probe telemetry
-/// goes to caller-owned ProbeCounters).
-class PartitionedView {
- public:
-  /// Partition counts are powers of two in [1, kMaxPartitions].
-  static constexpr int kMaxPartitions = 256;
-
-  /// Per-build balance telemetry: a max/ideal ratio of 1.0 is a
-  /// perfectly uniform key spread; skew >> 1 means one partition's
-  /// worker does most of the probing.
-  struct SkewStats {
-    int partitions = 0;
-    int64_t total_rows = 0;  // rows indexed across partitions
-    int64_t max_rows = 0;    // largest partition
-    int64_t min_rows = 0;    // smallest partition
-    double skew() const {
-      if (total_rows <= 0 || partitions <= 0) return 1.0;
-      return static_cast<double>(max_rows) * partitions / total_rows;
-    }
-  };
-
-  PartitionedView(std::vector<int> columns, int num_partitions);
-
-  int num_partitions() const { return static_cast<int>(parts_.size()); }
-  const std::vector<int>& columns() const { return columns_; }
-
-  /// Relation::version() this view was built against; stale when the
-  /// relation has moved past it.
-  uint64_t built_version() const { return built_version_; }
-  bool stale(const Relation& rel) const {
-    return built_version_ != rel.version();
-  }
-
-  /// The full key hash (shared with Relation's index hashing) and the
-  /// partition it selects. Partition bits come from the high half of
-  /// the finalized hash; slot indexes use the low bits, so the two
-  /// never alias.
-  static size_t KeyHash(const TermId* key, size_t n) {
-    return HashFinalize(HashRange(key, n));
-  }
-  int PartitionOfHash(size_t hash) const {
-    return static_cast<int>((hash >> 32) & (parts_.size() - 1));
-  }
-
-  /// Phase 1: hashes every row's key columns and scatters row ids into
-  /// per-partition lists (ascending row order — posting order, which
-  /// the deterministic merge depends on).
-  void AssignRows(const Relation& rel);
-
-  /// Phase 2: builds partition p's hash table. Concurrency-safe across
-  /// distinct p after AssignRows; touches only partition-local memory.
-  void BuildPartition(const Relation& rel, int p);
-
-  /// Phase 3: seals the view against rel.version() and drops the
-  /// scratch row-hash cache.
-  void Finish(const Relation& rel);
-
-  int64_t partition_rows(int p) const {
-    return static_cast<int64_t>(parts_[p].row_ids.size());
-  }
-  SkewStats skew() const;
-
-  /// Probes partition p for `key` whose full hash is `hash` (from
-  /// KeyHash; PartitionOfHash(hash) must equal p). Invokes
-  /// `fn(int64_t row_id)` in insertion order, counting into `*local`.
-  template <typename Fn>
-  void ProbeEachHashed(const Relation& rel, int p, const TermId* key,
-                       size_t hash, Relation::ProbeCounters* local,
-                       Fn&& fn) const {
-    ++local->probes;
-    const Part& part = parts_[p];
-    if (part.slots.empty()) return;
-    const size_t mask = part.slots.size() - 1;
-    size_t idx = hash & mask;
-    while (part.slots[idx] != kEmpty) {
-      const Bucket& bucket = part.buckets[part.slots[idx]];
-      if (RowKeyEquals(rel, bucket.rep, key)) {
-        for (uint32_t at = bucket.head; at != Relation::Postings::kNull;
-             at = part.pool[at].next) {
-          const PostingBlock& block = part.pool[at];
-          for (uint32_t s = 0; s < block.count; ++s) {
-            fn(static_cast<int64_t>(block.rows[s]));
-          }
-        }
-        return;
-      }
-      ++local->collisions;
-      idx = (idx + 1) & mask;
-    }
-  }
-
- private:
-  using PostingBlock = Relation::Postings::PostingBlock;
-  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
-
-  struct Bucket {
-    uint32_t head;
-    uint32_t tail;
-    uint32_t count;
-    uint32_t rep;  // first row of the bucket; its key is the bucket key
-  };
-
-  /// One partition's private table. Everything here is allocated
-  /// inside BuildPartition (except row_ids, scattered by AssignRows),
-  /// so it is first-touched by the building worker.
-  struct Part {
-    std::vector<uint32_t> row_ids;  // ascending row ids of this partition
-    std::vector<uint32_t> slots;    // open addressing: bucket ids
-    std::vector<Bucket> buckets;
-    std::vector<PostingBlock> pool;
-  };
-
-  bool RowKeyEquals(const Relation& rel, uint32_t row_id,
-                    const TermId* key) const {
-    const TermId* r = rel.row(static_cast<int64_t>(row_id)).data();
-    for (size_t k = 0; k < columns_.size(); ++k) {
-      if (r[columns_[k]] != key[k]) return false;
-    }
-    return true;
-  }
-
-  std::vector<int> columns_;
-  uint64_t built_version_ = 0;
-  std::vector<Part> parts_;
-  std::vector<size_t> row_hashes_;  // scratch between phases 1 and 2
 };
 
 }  // namespace chainsplit

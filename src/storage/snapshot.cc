@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <fstream>
 #include <map>
 
@@ -51,6 +52,7 @@ bool ReadAtom(wire::Reader* in, int64_t num_preds, int64_t num_terms,
   uint32_t argc = 0;
   if (!in->ReadU32(&pred) || !in->ReadU32(&argc)) return false;
   if (pred >= static_cast<uint32_t>(num_preds)) return false;
+  if (argc > in->remaining() / 4) return false;  // each arg is a u32
   atom->pred = static_cast<PredId>(pred);
   atom->args.clear();
   atom->args.reserve(argc);
@@ -267,6 +269,9 @@ Status DecodeSnapshotPayload(std::string_view payload, Database* db,
     if (!in.ReadString(&name) || !in.ReadU32(&arity)) {
       return CorruptError("truncated predicate entry");
     }
+    if (arity > static_cast<uint32_t>(INT32_MAX)) {
+      return CorruptError("predicate arity out of range");
+    }
     PredId id = program.InternPred(name, static_cast<int>(arity));
     if (id != static_cast<PredId>(i)) {
       return CorruptError(StrCat("pred id mismatch at entry ", i));
@@ -282,6 +287,10 @@ Status DecodeSnapshotPayload(std::string_view payload, Database* db,
     if (!ReadAtom(&in, num_preds, num_terms, &rule.head) ||
         !in.ReadU32(&body_size)) {
       return CorruptError("truncated rule");
+    }
+    // Each body atom takes at least its u32 pred and u32 arg count.
+    if (body_size > in.remaining() / 8) {
+      return CorruptError("rule body size exceeds payload");
     }
     rule.body.resize(body_size);
     for (uint32_t b = 0; b < body_size; ++b) {
@@ -338,17 +347,26 @@ Status DecodeSnapshotPayload(std::string_view payload, Database* db,
         program.preds().arity(static_cast<PredId>(pred))) {
       return CorruptError("relation arity disagrees with predicate table");
     }
-    const size_t cells = static_cast<size_t>(rows) * arity;
-    if (in.remaining() < cells * sizeof(TermId)) {
-      return CorruptError("truncated relation rows");
+    // Bound the row count by the bytes left before multiplying, so a
+    // huge count can neither overflow the product nor size an
+    // allocation. A set holds at most one arity-0 tuple.
+    const size_t row_bytes = size_t{arity} * sizeof(TermId);
+    if (arity == 0 ? rows > 1 : rows > in.remaining() / row_bytes) {
+      return CorruptError("relation row count exceeds payload");
     }
     Relation* rel = db->GetOrCreateRelation(static_cast<PredId>(pred));
+    if (rows == 0) continue;
     rel->Reserve(static_cast<int64_t>(rows));
+    const size_t cells = static_cast<size_t>(rows) * arity;
     const char* raw = in.data.data() + in.at;
     std::vector<TermId> row(arity);
     for (uint64_t r = 0; r < rows; ++r) {
-      memcpy(row.data(), raw + r * arity * sizeof(TermId),
-             arity * sizeof(TermId));
+      // An arity-0 row has no bytes, and memcpy must not see the empty
+      // vector's null data().
+      if (arity > 0) {
+        memcpy(row.data(), raw + r * arity * sizeof(TermId),
+               arity * sizeof(TermId));
+      }
       for (TermId cell : row) {
         if (cell < 0 || cell >= static_cast<TermId>(num_terms)) {
           return CorruptError("relation cell term out of range");

@@ -67,13 +67,12 @@ TEST(ChainEvalTest, SeedsWithNoEdges) {
   EXPECT_TRUE(reach->empty());
 }
 
-/// A first-round delta above the bulk-join threshold (512 rows) sends
-/// the closure kernel through HashJoin; the second round falls back to
-/// the per-row probe loop. Both must agree with the hand-computed
-/// closure of 300 disjoint two-edge chains.
-TEST(ChainEvalTest, LargeDeltaTakesJoinStepAndMatchesExpected) {
+/// A 600-row first-round delta through the closure kernel's probe
+/// loop must agree with the hand-computed closure of 300 disjoint
+/// two-edge chains.
+TEST(ChainEvalTest, LargeDeltaMatchesExpected) {
   Relation edge(2);
-  constexpr TermId kChains = 300;  // 600 edges > kJoinStepMinDeltaRows
+  constexpr TermId kChains = 300;  // 600 edges
   for (TermId k = 0; k < kChains; ++k) {
     edge.Insert({3 * k, 3 * k + 1});
     edge.Insert({3 * k + 1, 3 * k + 2});
@@ -87,7 +86,8 @@ TEST(ChainEvalTest, LargeDeltaTakesJoinStepAndMatchesExpected) {
     EXPECT_TRUE(closure->Contains({3 * k + 1, 3 * k + 2}));
     EXPECT_TRUE(closure->Contains({3 * k, 3 * k + 2}));
   }
-  EXPECT_EQ(stats.iterations, 2);  // join round, then probe-loop round
+  // Round 1 derives the 300 two-hop pairs; round 2 derives nothing.
+  EXPECT_EQ(stats.iterations, 2);
 }
 
 TEST(ChainEvalTest, RandomGraphClosureIsTransitive) {

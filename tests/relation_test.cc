@@ -389,131 +389,5 @@ TEST(RelationTest, CompactPostingsPreservesProbeResultsAndOrder) {
   EXPECT_EQ(extended.back(), rel.num_rows() - 1);
 }
 
-/// Builds a PartitionedView over `rel` on `columns` single-threaded
-/// (the parallel build is exercised through HashJoin).
-std::unique_ptr<PartitionedView> BuildView(const Relation& rel,
-                                           std::vector<int> columns,
-                                           int partitions) {
-  auto view =
-      std::make_unique<PartitionedView>(std::move(columns), partitions);
-  view->AssignRows(rel);
-  for (int p = 0; p < view->num_partitions(); ++p) {
-    view->BuildPartition(rel, p);
-  }
-  view->Finish(rel);
-  return view;
-}
-
-TEST(PartitionedViewTest, PartitionsCoverEveryRowExactlyOnce) {
-  Relation rel(2);
-  for (TermId i = 0; i < 5000; ++i) rel.Insert({i % 211, i});
-  auto view = BuildView(rel, {0}, 16);
-
-  PartitionedView::SkewStats stats = view->skew();
-  EXPECT_EQ(stats.partitions, 16);
-  EXPECT_EQ(stats.total_rows, rel.num_rows());
-  int64_t sum = 0;
-  for (int p = 0; p < 16; ++p) sum += view->partition_rows(p);
-  EXPECT_EQ(sum, rel.num_rows());
-  EXPECT_GE(stats.max_rows, stats.min_rows);
-  EXPECT_GE(stats.skew(), 1.0);
-  // 211 uniform keys over 16 partitions: no partition should hog.
-  EXPECT_LT(stats.skew(), 3.0);
-}
-
-TEST(PartitionedViewTest, HashedProbeMatchesGlobalIndex) {
-  Relation rel(2);
-  for (TermId i = 0; i < 4000; ++i) rel.Insert({i % 97, i % 501});
-  auto view = BuildView(rel, {0}, 8);
-  const std::vector<int> cols = {0};
-
-  Relation::ProbeCounters counters;
-  for (TermId k = 0; k < 120; ++k) {  // present and absent keys
-    std::vector<int64_t> expected;
-    rel.ProbeEach(cols, &k, [&](int64_t j) { expected.push_back(j); });
-    const size_t h = PartitionedView::KeyHash(&k, 1);
-    std::vector<int64_t> got;
-    view->ProbeEachHashed(rel, view->PartitionOfHash(h), &k, h, &counters,
-                          [&](int64_t j) { got.push_back(j); });
-    ASSERT_EQ(got, expected) << "key " << k;
-  }
-  EXPECT_GT(counters.probes, 0);
-}
-
-TEST(PartitionedViewTest, SinglePartitionDegeneratesGracefully) {
-  Relation rel(2);
-  for (TermId i = 0; i < 300; ++i) rel.Insert({i % 7, i});
-  auto view = BuildView(rel, {0}, 1);
-  ASSERT_EQ(view->num_partitions(), 1);
-  EXPECT_EQ(view->partition_rows(0), rel.num_rows());
-  TermId key = 3;
-  const size_t h = PartitionedView::KeyHash(&key, 1);
-  EXPECT_EQ(view->PartitionOfHash(h), 0);
-  Relation::ProbeCounters counters;
-  int64_t matches = 0;
-  view->ProbeEachHashed(rel, 0, &key, h, &counters,
-                        [&](int64_t) { ++matches; });
-  EXPECT_GT(matches, 0);
-}
-
-TEST(PartitionedViewTest, StaleAfterInsertAndCacheReplaces) {
-  Relation rel(2);
-  for (TermId i = 0; i < 100; ++i) rel.Insert({i, i});
-  rel.CachePartitionedView(BuildView(rel, {0}, 4));
-  std::shared_ptr<PartitionedView> cached = rel.FindPartitionedView({0}, 4);
-  ASSERT_NE(cached, nullptr);
-  EXPECT_FALSE(cached->stale(rel));
-  EXPECT_EQ(rel.FindPartitionedView({0}, 8), nullptr);
-  EXPECT_EQ(rel.FindPartitionedView({1}, 4), nullptr);
-
-  rel.Insert({999, 999});
-  EXPECT_TRUE(cached->stale(rel));
-
-  // Re-caching the same (columns, partitions) replaces the slot; the
-  // old view survives through our shared_ptr until we drop it.
-  std::shared_ptr<PartitionedView> rebuilt =
-      rel.CachePartitionedView(BuildView(rel, {0}, 4));
-  EXPECT_FALSE(rebuilt->stale(rel));
-  EXPECT_EQ(rel.FindPartitionedView({0}, 4), rebuilt);
-  EXPECT_NE(rebuilt, cached);
-  EXPECT_TRUE(cached->stale(rel));  // replaced view still usable
-}
-
-TEST(PartitionedViewTest, CacheKeepsSameVersionIncumbent) {
-  Relation rel(2);
-  for (TermId i = 0; i < 50; ++i) rel.Insert({i, i + 1});
-  std::shared_ptr<PartitionedView> winner =
-      rel.CachePartitionedView(BuildView(rel, {0}, 4));
-  // A build-race loser attaching a same-version view gets the
-  // incumbent back; its own copy is discarded.
-  std::shared_ptr<PartitionedView> loser =
-      rel.CachePartitionedView(BuildView(rel, {0}, 4));
-  EXPECT_EQ(loser, winner);
-}
-
-TEST(PartitionedViewTest, LruEvictsLeastRecentlyUsedAtCapacity) {
-  Relation rel(3);
-  for (TermId i = 0; i < 200; ++i) rel.Insert({i % 5, i % 7, i});
-  // Fill the cache to capacity with distinct partition counts
-  // (powers of two are the only legal counts; 2^0..2^7 covers the
-  // current capacity of 8).
-  static_assert(Relation::kMaxPartitionedViews <= 8,
-                "fill loop needs a key per slot");
-  for (int k = 0; k < Relation::kMaxPartitionedViews; ++k) {
-    rel.CachePartitionedView(BuildView(rel, {0}, 1 << k));
-  }
-  // Touch the oldest entry so it becomes most recent; the LRU slot is
-  // now ({0}, 2).
-  ASSERT_NE(rel.FindPartitionedView({0}, 1), nullptr);
-  // One more distinct key evicts the least recently used entry — which
-  // after the touch above is ({0}, 2), not ({0}, 1).
-  std::shared_ptr<PartitionedView> held =
-      rel.CachePartitionedView(BuildView(rel, {1}, 4));
-  EXPECT_NE(held, nullptr);
-  EXPECT_EQ(rel.FindPartitionedView({0}, 2), nullptr);  // evicted
-  EXPECT_NE(rel.FindPartitionedView({0}, 1), nullptr);  // kept (touched)
-  EXPECT_NE(rel.FindPartitionedView({1}, 4), nullptr);  // newly cached
-}
-
 }  // namespace
 }  // namespace chainsplit

@@ -259,10 +259,9 @@ TEST(SccScheduleTest, SerialFailureReportsPartialStats) {
 }
 
 /// tsan stress: concurrent schedules over private databases sharing
-/// one pool. Exercises the coordinator/worker handshake, the
-/// help-while-waiting path in WorkGroup::Wait (a stratum's inner
-/// parallel join submits to the same saturated pool), and import
-/// publication, all under racing callers.
+/// one pool. Exercises the coordinator/worker handshake, per-caller
+/// WorkGroup waits on a saturated pool, and import publication, all
+/// under racing callers.
 TEST(SccScheduleTest, ConcurrentSchedulesOnSharedPoolStress) {
   ThreadPool pool(4);
   std::mt19937 seed_rng(99);

@@ -1,20 +1,26 @@
 // Snapshot serialization: whole-database roundtrips (terms that do not
 // survive text round-tripping included), corruption fallback to older
-// snapshots, cold-start behavior.
+// snapshots, cold-start behavior, and CRC-valid payloads with hostile
+// counts or mutated bytes (a Status, never a crash).
 
 #include "storage/snapshot.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ast/parser.h"
 #include "common/strings.h"
 #include "rel/csv.h"
+#include "storage/crc32.h"
+#include "storage/log_record.h"
 #include "storage/recovery.h"
 
 namespace chainsplit {
@@ -224,6 +230,218 @@ TEST_F(SnapshotTest, RecoveryCreatesMissingDir) {
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_TRUE(recovered->cold_start);
   EXPECT_TRUE(fs::exists(fresh));
+}
+
+// File header: 8-byte magic | u64 payload length | u32 crc32(payload).
+constexpr size_t kHeaderBytes = 8 + 8 + 4;
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// The payload of a snapshot of `program` (header stripped); `*magic`
+/// receives the file's magic bytes.
+std::string SnapshotPayload(const std::string& dir, const char* program,
+                            std::string* magic) {
+  Database db;
+  EXPECT_TRUE(ParseProgram(program, &db.program()).ok());
+  EXPECT_TRUE(db.LoadProgramFacts().ok());
+  SnapshotWriteStats stats;
+  EXPECT_TRUE(WriteSnapshot(db, 1, dir, &stats).ok());
+  std::string file = ReadFile(stats.path);
+  std::filesystem::remove(stats.path);
+  *magic = file.substr(0, 8);
+  return file.substr(kHeaderBytes);
+}
+
+/// Writes `payload` under a fresh, matching header — the CRC is
+/// resealed, so only the decoder stands between the bytes and the
+/// database — and loads it into an empty database.
+StatusOr<uint64_t> LoadResealed(const std::string& dir,
+                                const std::string& magic,
+                                const std::string& payload) {
+  std::string file = magic;
+  wire::PutU64(&file, payload.size());
+  wire::PutU32(&file, Crc32(payload));
+  file += payload;
+  const std::string path = dir + "/resealed.css";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << file;
+  Database db;
+  return LoadSnapshotFile(path, &db);
+}
+
+uint64_t GetU64(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  wire::Reader in{std::string_view(bytes).substr(at, 8)};
+  EXPECT_TRUE(in.ReadU64(&v));
+  return v;
+}
+uint32_t GetU32(const std::string& bytes, size_t at) {
+  uint32_t v = 0;
+  wire::Reader in{std::string_view(bytes).substr(at, 4)};
+  EXPECT_TRUE(in.ReadU32(&v));
+  return v;
+}
+void SetU64(std::string* bytes, size_t at, uint64_t v) {
+  std::string le;
+  wire::PutU64(&le, v);
+  bytes->replace(at, 8, le);
+}
+void SetU32(std::string* bytes, size_t at, uint32_t v) {
+  std::string le;
+  wire::PutU32(&le, v);
+  bytes->replace(at, 4, le);
+}
+
+/// Peak virtual memory of this process in bytes (VmPeak), or -1 where
+/// /proc/self/status is not available.
+int64_t PeakVirtualBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmPeak:", 0) == 0) {
+      return std::stoll(line.substr(7)) * 1024;  // reported in kB
+    }
+  }
+  return -1;
+}
+
+// The relation section closes the payload: u32 pred, u32 arity, u64
+// rows, then the rows. One p/2 row puts `rows` 16 bytes from the end.
+TEST_F(SnapshotTest, HugeRelationRowCountIsAStatus) {
+  std::string magic;
+  const std::string payload = SnapshotPayload(dir_, "p(a, b).", &magic);
+  const size_t rows_at = payload.size() - 8 - 8;
+  ASSERT_EQ(GetU32(payload, rows_at - 4), 2u);  // arity
+  ASSERT_EQ(GetU64(payload, rows_at), 1u);
+  ASSERT_TRUE(LoadResealed(dir_, magic, payload).ok());
+
+  // 2^62 rows would size a reserve that throws; 2^63 rows of 8 bytes
+  // wrap to 0 bytes and would pass a byte-count check, reading past the
+  // payload.
+  for (uint64_t rows : {uint64_t{2}, uint64_t{1} << 62, uint64_t{1} << 63,
+                        ~uint64_t{0}}) {
+    std::string bad = payload;
+    SetU64(&bad, rows_at, rows);
+    EXPECT_FALSE(LoadResealed(dir_, magic, bad).ok()) << rows << " rows";
+  }
+}
+
+TEST_F(SnapshotTest, ArityZeroRelationWithManyRowsIsAStatus) {
+  std::string magic;
+  const std::string payload = SnapshotPayload(dir_, "z.", &magic);
+  const size_t rows_at = payload.size() - 8;  // no row bytes follow
+  ASSERT_EQ(GetU32(payload, rows_at - 4), 0u);  // arity
+  ASSERT_EQ(GetU64(payload, rows_at), 1u);
+  ASSERT_TRUE(LoadResealed(dir_, magic, payload).ok());
+
+  for (uint64_t rows : {uint64_t{2}, uint64_t{1} << 62}) {
+    std::string bad = payload;
+    SetU64(&bad, rows_at, rows);
+    EXPECT_FALSE(LoadResealed(dir_, magic, bad).ok()) << rows << " rows";
+  }
+}
+
+// A rule-only program ends in the rule: head atom (u32 pred, u32 argc,
+// argc u32 terms), u32 body size, body atoms, then three empty u64
+// counts (facts, finite modes, relations).
+class SnapshotRuleCountTest : public SnapshotTest {
+ protected:
+  void SetUp() override {
+    SnapshotTest::SetUp();
+    payload_ = SnapshotPayload(dir_, "q(X) :- r(X).", &magic_);
+    const size_t end = payload_.size() - 3 * 8;
+    for (size_t at = end; at < payload_.size(); ++at) {
+      ASSERT_EQ(payload_[at], 0) << "expected three empty trailing counts";
+    }
+    body_argc_at_ = end - 12 + 4;
+    body_size_at_ = end - 12 - 4;
+    head_argc_at_ = body_size_at_ - 12 + 4;
+    ASSERT_EQ(GetU32(payload_, body_argc_at_), 1u);
+    ASSERT_EQ(GetU32(payload_, body_size_at_), 1u);
+    ASSERT_EQ(GetU32(payload_, head_argc_at_), 1u);
+    ASSERT_TRUE(LoadResealed(dir_, magic_, payload_).ok());
+  }
+
+  std::string magic_;
+  std::string payload_;
+  size_t head_argc_at_ = 0;
+  size_t body_size_at_ = 0;
+  size_t body_argc_at_ = 0;
+};
+
+// An arg count of 2^32-1 must not reserve 16 GB before the first
+// argument is read: nothing may be sized beyond the bytes left.
+TEST_F(SnapshotRuleCountTest, HugeAtomArgCountIsAStatus) {
+  for (size_t at : {head_argc_at_, body_argc_at_}) {
+    std::string bad = payload_;
+    SetU32(&bad, at, 0xFFFFFFFFu);
+    const int64_t peak_before = PeakVirtualBytes();
+    EXPECT_FALSE(LoadResealed(dir_, magic_, bad).ok()) << "argc at " << at;
+    if (peak_before >= 0) {
+      EXPECT_LT(PeakVirtualBytes() - peak_before, int64_t{1} << 30)
+          << "argc at " << at << " sized an allocation";
+    }
+  }
+}
+
+// A body size of 2^32-1 must not value-initialize 2^32 atoms.
+TEST_F(SnapshotRuleCountTest, HugeRuleBodySizeIsAStatus) {
+  std::string bad = payload_;
+  SetU32(&bad, body_size_at_, 0xFFFFFFFFu);
+  EXPECT_FALSE(LoadResealed(dir_, magic_, bad).ok());
+}
+
+/// Seeded byte mutations of a small snapshot, each resealed so the
+/// CRC gate passes: every load must come back as a Status (run under
+/// the asan preset for memory errors).
+TEST_F(SnapshotTest, ResealedByteMutationsReturnAStatus) {
+  Database db;
+  BuildDb(&db);
+  SnapshotWriteStats stats;
+  ASSERT_TRUE(WriteSnapshot(db, 7, dir_, &stats).ok());
+  const std::string file = ReadFile(stats.path);
+  const std::string magic = file.substr(0, 8);
+  const std::string payload = file.substr(kHeaderBytes);
+  ASSERT_TRUE(LoadResealed(dir_, magic, payload).ok());
+
+  uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  auto next = [&rng](uint64_t bound) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (rng >> 33) % bound;
+  };
+  constexpr int kMutants = 2000;
+  int rejected = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string bad = payload;
+    const int edits = 1 + static_cast<int>(next(3));
+    for (int e = 0; e < edits; ++e) {
+      const size_t at = next(bad.size());
+      switch (next(4)) {
+        case 0:  // one bit
+          bad[at] = static_cast<char>(bad[at] ^ (1 << next(8)));
+          break;
+        case 1:  // one byte
+          bad[at] = static_cast<char>(next(256));
+          break;
+        case 2:  // a huge little-endian count
+          for (size_t i = at; i < bad.size() && i < at + 4; ++i) {
+            bad[i] = static_cast<char>(0xFF);
+          }
+          break;
+        default:  // truncation
+          bad.resize(at);
+          break;
+      }
+      if (bad.empty()) break;
+    }
+    StatusOr<uint64_t> loaded = LoadResealed(dir_, magic, bad);
+    if (!loaded.ok()) ++rejected;
+  }
+  EXPECT_GT(rejected, kMutants / 2);
 }
 
 }  // namespace
