@@ -75,28 +75,6 @@ std::vector<BatchOp> UncachedQueryOps() {
   return ops;
 }
 
-/// The parallel-SCC phase wants a program whose condensation is wide:
-/// kSccChains independent transitive closures feeding one top stratum,
-/// so up to kSccChains strata are ready at once.
-constexpr int kSccChains = 8;
-constexpr int kSccChainLen = 96;
-
-void SeedMultiScc(QueryService* service) {
-  std::string text;
-  for (int c = 0; c < kSccChains; ++c) {
-    for (int i = 0; i < kSccChainLen; ++i) {
-      text += StrCat("e", c, "(c", c, "n", i, ", c", c, "n", i + 1, ").\n");
-    }
-  }
-  for (int c = 0; c < kSccChains; ++c) {
-    text += StrCat("tc", c, "(X, Y) :- e", c, "(X, Y).\n");
-    text += StrCat("tc", c, "(X, Y) :- e", c, "(X, Z), tc", c, "(Z, Y).\n");
-    text += StrCat("top(X, Y) :- tc", c, "(X, Y).\n");
-  }
-  UpdateResponse r = service->Update(text);
-  CS_CHECK(r.status.ok()) << r.status;
-}
-
 std::string FlattenAnswers(const QueryResponse& response) {
   std::string flat;
   for (const auto& row : response.rows) {
@@ -190,34 +168,6 @@ void CheckOverlayMatchesReference() {
       kDistinctUncachedQueries);
 }
 
-/// Differential gate for the SCC scheduler, run once at startup:
-/// parallel evaluation at every worker count must be byte-identical to
-/// the stratified serial schedule (docs/service.md §Parallel SCC
-/// evaluation argues why; this checks it on the bench program).
-void CheckParallelSccMatchesSerial() {
-  QueryService service;
-  SeedMultiScc(&service);
-  RequestOptions request;
-  request.bypass_cache = true;
-  request.parallel_scc = 1;
-  const std::string query = "?- top(X, Y).";
-  QueryResponse serial = service.Query(query, request);
-  CS_CHECK(serial.status.ok()) << serial.status;
-  CS_CHECK(serial.scc_strata >= kSccChains) << serial.scc_strata;
-  const std::string reference = FlattenAnswers(serial);
-  for (int workers : {2, 4, 8}) {
-    request.parallel_scc = workers;
-    QueryResponse parallel = service.Query(query, request);
-    CS_CHECK(parallel.status.ok()) << parallel.status;
-    CS_CHECK(FlattenAnswers(parallel) == reference)
-        << "parallel scc answers diverged at " << workers << " workers";
-  }
-  std::printf(
-      "differential check: parallel scc == stratified serial at "
-      "2/4/8 workers (%lld strata)\n",
-      static_cast<long long>(serial.scc_strata));
-}
-
 void ReportBatch(benchmark::State& state, const BatchReport& report,
                  double* qps) {
   CS_CHECK(report.errors == 0) << report.errors << " request errors";
@@ -296,55 +246,6 @@ void UncachedClients(benchmark::State& state) {
     state.counters["overlay_bytes"] =
         static_cast<double>(s1.overlay_bytes - s0.overlay_bytes);
     SnapshotRegistry(state, service);
-  }
-}
-
-/// SCC-parallel evaluation of one wide-condensation query: arg N is
-/// RequestOptions::parallel_scc (1 = stratified serial baseline, N > 1
-/// = up to N strata in flight on the shared pool). The interesting
-/// number is the 1 -> N qps ratio; run_benchmarks.sh gates it at
-/// > 1.3x on multi-core hosts and logs a skip note on single-core
-/// (where the trend only records scheduler overhead).
-void UncachedParallelScc(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  constexpr int kQueries = 4;
-  for (auto _ : state) {
-    state.PauseTiming();
-    QueryService service;
-    SeedMultiScc(&service);
-    RequestOptions request;
-    request.bypass_cache = true;
-    request.parallel_scc = workers;
-    state.ResumeTiming();
-
-    const auto start = std::chrono::steady_clock::now();
-    int64_t rows = 0;
-    QueryResponse last;
-    for (int i = 0; i < kQueries; ++i) {
-      QueryResponse r = service.Query("?- top(X, Y).", request);
-      CS_CHECK(r.status.ok()) << r.status;
-      CS_CHECK(r.scc_strata > 0) << "query bypassed the SCC scheduler";
-      rows += static_cast<int64_t>(r.rows.size());
-      last = std::move(r);
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-
-    state.PauseTiming();
-    state.counters["qps"] = seconds > 0 ? kQueries / seconds : 0;
-    state.counters["answer_rows"] = static_cast<double>(rows);
-    state.counters["parallel_scc"] = workers;
-    state.counters["scc_strata"] = static_cast<double>(last.scc_strata);
-    state.counters["scc_parallel_strata"] =
-        static_cast<double>(last.scc_parallel_strata);
-    state.counters["scc_max_ready_width"] =
-        static_cast<double>(last.scc_max_ready_width);
-    state.counters["hardware_concurrency"] =
-        static_cast<double>(std::thread::hardware_concurrency());
-    SnapshotRegistry(state, service);
-    state.ResumeTiming();
   }
 }
 
@@ -583,13 +484,6 @@ BENCHMARK(UncachedClients)
     ->Arg(4)
     ->Arg(8)
     ->Iterations(3);
-BENCHMARK(UncachedParallelScc)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(3);
 BENCHMARK(TraceOverhead)->Unit(benchmark::kMillisecond)->Iterations(3);
 BENCHMARK(CachedClients)
     ->Unit(benchmark::kMillisecond)
@@ -622,9 +516,7 @@ int main(int argc, char** argv) {
       "workloads.\nExpected shape: CachedClients/8 sustains >= 5x the "
       "qps of UncachedSingleThread (shared-lock cache hits); "
       "UncachedClients/N scales with cores (shared-lock overlay "
-      "evaluation, no cache); UncachedParallelScc/N evaluates one "
-      "wide-condensation query with N SCC strata in flight (expect "
-      "> 1.3x over /1 on multi-core); MixedReadUpdate shows the cost of "
+      "evaluation, no cache); MixedReadUpdate shows the cost of "
       "invalidating writes; TraceOverhead bounds the per-query tracing "
       "cost (trace_overhead_pct <= 2 expected); NetRoundTrip adds the "
       "epoll front end's framed-socket round trip on top of the cached "
@@ -634,7 +526,6 @@ int main(int argc, char** argv) {
       "of off).\n\n");
   chainsplit::CheckCachedMatchesUncached();
   chainsplit::CheckOverlayMatchesReference();
-  chainsplit::CheckParallelSccMatchesSerial();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

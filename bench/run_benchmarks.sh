@@ -21,10 +21,8 @@
 # corrupt a stdout JSON stream.
 #
 # Every BENCH_*.json records hardware_concurrency in its context block
-# so scaling trends (UncachedClients, UncachedParallelScc) can be
-# judged against the host that produced them. The parallel-SCC > 1.3x
-# gate only applies on multi-core hosts; single-core runs log a skip
-# note instead of failing.
+# so scaling trends (UncachedClients) can be judged against the host
+# that produced them.
 set -euo pipefail
 
 build_dir=${1:-build}
@@ -92,30 +90,6 @@ for bin in "${benches[@]}"; do
         if (qps[1] > 0 && qps[8] > 0)
           printf "   uncached scaling: %.0f qps @1 client, %.0f qps @8 clients (%.2fx)\n", qps[1], qps[8], qps[8] / qps[1]
       }' "$out"
-    # Parallel-SCC scaling: 8 strata in flight vs the stratified
-    # serial schedule (arg 1). Acceptance gate (docs/perf_notes.md):
-    # > 1.3x on multi-core hosts; a single core cannot overlap strata,
-    # so the gate is skipped there — with a note, never silently.
-    scc_ratio=$(awk '
-      /"name": "UncachedParallelScc\/1\// { want = 1 }
-      /"name": "UncachedParallelScc\/8\// { want = 8 }
-      want && /"qps":/ {
-        gsub(/[^0-9.e+-]/, "", $2); qps[want] = $2; want = 0
-      }
-      END {
-        if (qps[1] > 0 && qps[8] > 0) printf "%.2f", qps[8] / qps[1]
-      }' "$out")
-    if [[ -n $scc_ratio ]]; then
-      echo "   parallel-scc scaling: ${scc_ratio}x qps (8 strata vs stratified serial)"
-      if (( hw <= 1 )); then
-        echo "   parallel-scc gate: skipped (single-core host, hardware_concurrency=$hw)"
-      elif awk -v r="$scc_ratio" 'BEGIN { exit !(r > 1.3) }'; then
-        echo "   parallel-scc gate: PASS (${scc_ratio}x > 1.3x on $hw cores)"
-      else
-        echo "error: parallel-scc gate FAILED: ${scc_ratio}x <= 1.3x on $hw cores" >&2
-        status=1
-      fi
-    fi
     # Summarize the tracing cost: the acceptance bound is <= 2% on the
     # uncached single-client shape (docs/perf_notes.md).
     awk '

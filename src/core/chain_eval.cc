@@ -62,40 +62,6 @@ void FinishTelemetry(const Relation& edge, const Relation& result,
 
 }  // namespace
 
-StatusOr<Relation> TransitiveClosureFrom(const Relation& edge,
-                                         const std::vector<TermId>& seeds,
-                                         int64_t max_iterations,
-                                         TcStats* stats,
-                                         const CancelToken* cancel) {
-  Relation result(2);
-  CS_RETURN_IF_ERROR(TransitiveClosureFromInto(edge, seeds, max_iterations,
-                                               &result, stats, cancel));
-  return result;
-}
-
-Status TransitiveClosureFromInto(const Relation& edge,
-                                 const std::vector<TermId>& seeds,
-                                 int64_t max_iterations, Relation* result,
-                                 TcStats* stats, const CancelToken* cancel) {
-  *stats = TcStats{};
-  Relation::Telemetry edge_before = edge.telemetry();
-  Relation delta(2);
-  const std::vector<int> from_col = {0};
-  Tuple out(2);
-  for (TermId seed : seeds) {
-    out[0] = seed;
-    edge.ProbeEach(from_col, &seed, [&](int64_t j) {
-      out[1] = edge.row(j)[1];
-      if (result->Insert(out)) delta.Insert(out);
-    });
-  }
-  stats->delta_tuples += delta.size();
-  CS_RETURN_IF_ERROR(Closure(edge, result, std::move(delta), max_iterations,
-                             stats, cancel));
-  FinishTelemetry(edge, *result, edge_before, stats);
-  return Status::Ok();
-}
-
 StatusOr<Relation> TransitiveClosure(const Relation& edge,
                                      int64_t max_iterations, TcStats* stats,
                                      const CancelToken* cancel) {

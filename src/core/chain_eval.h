@@ -1,8 +1,6 @@
 #ifndef CHAINSPLIT_CORE_CHAIN_EVAL_H_
 #define CHAINSPLIT_CORE_CHAIN_EVAL_H_
 
-#include <vector>
-
 #include "common/deadline.h"
 #include "common/status.h"
 #include "rel/relation.h"
@@ -21,30 +19,6 @@ struct TcStats {
   int64_t hash_collisions = 0;
   int64_t arena_bytes = 0;
 };
-
-/// Chain-following evaluation of a single binary chain [10]: semi-naive
-/// transitive closure of `edge` restricted to the nodes reachable from
-/// `seeds`. Returns the set of (seed, reachable) pairs, seeds included
-/// via their outgoing edges only (no reflexive tuples). `edge` columns
-/// are (from, to).
-StatusOr<Relation> TransitiveClosureFrom(const Relation& edge,
-                                         const std::vector<TermId>& seeds,
-                                         int64_t max_iterations,
-                                         TcStats* stats,
-                                         const CancelToken* cancel = nullptr);
-
-/// Evaluate-into-layer form of TransitiveClosureFrom: accumulates the
-/// closure into `*result` (arity 2), which may already hold rows —
-/// e.g. a per-stratum overlay relation seeded by a predecessor
-/// stratum; pre-existing pairs are kept and not re-derived. `cancel`
-/// is checked once per closure round, so a per-stratum child token
-/// (core/scc_schedule.h) cuts a long chain mid-fixpoint with `*stats`
-/// holding the partial rounds.
-Status TransitiveClosureFromInto(const Relation& edge,
-                                 const std::vector<TermId>& seeds,
-                                 int64_t max_iterations, Relation* result,
-                                 TcStats* stats,
-                                 const CancelToken* cancel = nullptr);
 
 /// Full semi-naive transitive closure of `edge`. Used by the
 /// merged-chain experiment (E8) as the per-chain evaluation whose cost

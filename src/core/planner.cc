@@ -262,50 +262,22 @@ class PlanRun {
     SemiNaiveOptions seminaive = options_.seminaive;
     if (seminaive.cancel == nullptr) seminaive.cancel = options_.cancel;
     if (seminaive.trace == nullptr) seminaive.trace = options_.trace;
-    if (options_.parallel_scc > 0) {
-      // SCC-schedule path: stratified fixpoint over the condensation
-      // of the magic program, serial at 1, parallel strata above.
-      SccScheduleOptions sched;
-      sched.max_parallel = options_.parallel_scc;
-      sched.pool = options_.scc_pool;
-      sched.seminaive = seminaive;
-      sched.use_stats_ordering =
-          options_.use_stats_ordering && seminaive.estimator == nullptr;
-      SccScheduleStats sched_stats;
-      TraceSpan fixpoint_span(options_.trace, "scc_schedule");
-      fixpoint_span.Attr("technique", TechniqueToString(result_.technique));
-      fixpoint_span.Attr("max_parallel",
-                         static_cast<int64_t>(sched.max_parallel));
-      Status status = EvaluateSccSchedule(db_, magic.rules, sched,
-                                          &result_.seminaive_stats,
-                                          &sched_stats);
-      fixpoint_span.Attr("sccs", static_cast<int64_t>(sched_stats.num_sccs));
-      fixpoint_span.Attr("parallel_sccs",
-                         static_cast<int64_t>(sched_stats.parallel_sccs));
-      fixpoint_span.Attr("iterations", result_.seminaive_stats.iterations);
-      fixpoint_span.Attr("derived", result_.seminaive_stats.total_derived);
-      fixpoint_span.End();
-      result_.scc_strata = sched_stats.num_sccs;
-      result_.scc_parallel_strata = sched_stats.parallel_sccs;
-      result_.scc_max_ready_width = sched_stats.max_ready_width;
-      CS_RETURN_IF_ERROR(status);
-      AppendPlan(StrCat("scc schedule: ", sched_stats.num_sccs, " strata, ",
-                        sched_stats.parallel_sccs, " dispatched in parallel (",
-                        sched.max_parallel, " max in flight)"));
-    } else {
-      if (options_.use_stats_ordering && seminaive.estimator == nullptr) {
-        seminaive.estimator = StatsEstimator(db_);
-      }
-      TraceSpan fixpoint_span(options_.trace, "fixpoint");
-      fixpoint_span.Attr("technique",
-                         TechniqueToString(result_.technique));
-      Status status = SemiNaiveEvaluate(db_, magic.rules, seminaive,
-                                        &result_.seminaive_stats);
-      fixpoint_span.Attr("iterations", result_.seminaive_stats.iterations);
-      fixpoint_span.Attr("derived", result_.seminaive_stats.total_derived);
-      fixpoint_span.End();
-      CS_RETURN_IF_ERROR(status);
-    }
+    // Stratified fixpoint over the condensation of the magic program:
+    // magic predicates first, then the answer predicates they seed.
+    SccScheduleOptions sched;
+    sched.seminaive = seminaive;
+    sched.use_stats_ordering = options_.use_stats_ordering;
+    int num_sccs = 0;
+    TraceSpan fixpoint_span(options_.trace, "fixpoint");
+    fixpoint_span.Attr("technique", TechniqueToString(result_.technique));
+    Status status = EvaluateSccSchedule(db_, magic.rules, sched,
+                                        &result_.seminaive_stats, &num_sccs);
+    fixpoint_span.Attr("sccs", static_cast<int64_t>(num_sccs));
+    fixpoint_span.Attr("iterations", result_.seminaive_stats.iterations);
+    fixpoint_span.Attr("derived", result_.seminaive_stats.total_derived);
+    fixpoint_span.End();
+    result_.scc_strata = num_sccs;
+    CS_RETURN_IF_ERROR(status);
     AppendPlan(StrCat("technique: ", TechniqueToString(result_.technique),
                       " (", magic.rules.size(), " transformed rules, query ",
                       program_.preds().Display(magic.answer_pred), ")"));
@@ -493,19 +465,8 @@ Status EvaluateQueryInto(EvalDb* db, const Query& query,
 }
 
 Status MaterializeAll(EvalDb* db, const SemiNaiveOptions& options) {
-  Program& program = db->program();
-  std::vector<Rule> rectified = RectifyRules(&program);
-  SemiNaiveStats stats;
-  return SemiNaiveEvaluate(db, rectified, options, &stats);
-}
-
-Status MaterializeAllScc(EvalDb* db, const SemiNaiveOptions& options,
-                         int parallel_scc, ThreadPool* pool) {
-  Program& program = db->program();
-  std::vector<Rule> rectified = RectifyRules(&program);
+  std::vector<Rule> rectified = RectifyRules(&db->program());
   SccScheduleOptions sched;
-  sched.max_parallel = parallel_scc;
-  sched.pool = pool;
   sched.seminaive = options;
   SemiNaiveStats stats;
   return EvaluateSccSchedule(db, rectified, sched, &stats);

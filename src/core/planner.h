@@ -8,7 +8,6 @@
 #include "ast/ast.h"
 #include "common/deadline.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/buffered.h"
 #include "core/partial.h"
 #include "core/split_decision.h"
@@ -47,18 +46,6 @@ struct PlannerOptions {
   /// benchmark compares the two.
   bool use_stats_ordering = true;
 
-  /// SCC-schedule evaluation of the bottom-up fixpoint (see
-  /// core/scc_schedule.h). 0 = off: one monolithic semi-naive fixpoint
-  /// over all rules (the default; row order differs from the
-  /// stratified schedule, so this stays opt-in). 1 = stratified serial
-  /// schedule, the parallel path's baseline. N > 1 = up to N SCC
-  /// fixpoints in flight on `scc_pool`; results are byte-identical to
-  /// N = 1 at every worker count.
-  int parallel_scc = 0;
-
-  /// Pool for parallel_scc > 1; null uses ThreadPool::Shared().
-  ThreadPool* scc_pool = nullptr;
-
   /// Precomputed rectification of the program's rules (RectifyRules
   /// output for the *current* rule set). When set, the planner reuses
   /// it instead of re-rectifying every query — the query service
@@ -93,12 +80,9 @@ struct QueryResult {
   BufferedStats buffered_stats;
   TopDownStats topdown_stats;
 
-  /// SCC-schedule provenance; all zero unless
-  /// PlannerOptions::parallel_scc routed the fixpoint through the
-  /// stratified scheduler (core/scc_schedule.h).
+  /// Strata of the bottom-up fixpoint's SCC schedule
+  /// (core/scc_schedule.h); zero when no fixpoint ran.
   int64_t scc_strata = 0;
-  int64_t scc_parallel_strata = 0;
-  int64_t scc_max_ready_width = 0;
 };
 
 /// Plans and evaluates `query` against `*db` (rules + EDB facts):
@@ -124,20 +108,13 @@ StatusOr<QueryResult> RunProgram(Database* db, std::string_view source,
                                  const PlannerOptions& options = {});
 
 /// Materializes every IDB predicate of `db`'s program bottom-up (the
-/// classic Datalog fixpoint over the rectified rules, callee SCCs
-/// first). Only valid for function-free programs: a functional
-/// recursion denotes an infinite relation and is rejected with
-/// kNotFinitelyEvaluable — use query-directed evaluation
-/// (EvaluateQuery) for those, which is the paper's whole point.
+/// classic Datalog fixpoint over the rectified rules, one SCC stratum
+/// at a time, callees first; core/scc_schedule.h). Only valid for
+/// function-free programs: a functional recursion denotes an infinite
+/// relation and is rejected with kNotFinitelyEvaluable — use
+/// query-directed evaluation (EvaluateQuery) for those, which is the
+/// paper's whole point.
 Status MaterializeAll(EvalDb* db, const SemiNaiveOptions& options = {});
-
-/// As MaterializeAll, but evaluates the SCC condensation of the
-/// rectified rules as a stratum schedule (core/scc_schedule.h) with up
-/// to `parallel_scc` strata in flight on `pool` (null =
-/// ThreadPool::Shared()). parallel_scc <= 1 runs the serial stratified
-/// schedule; results are byte-identical at every worker count.
-Status MaterializeAllScc(EvalDb* db, const SemiNaiveOptions& options,
-                         int parallel_scc, ThreadPool* pool = nullptr);
 
 }  // namespace chainsplit
 

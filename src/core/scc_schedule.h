@@ -5,65 +5,42 @@
 
 #include "ast/ast.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "engine/seminaive.h"
 #include "rel/catalog.h"
 
 namespace chainsplit {
 
-/// Options for the SCC condensation schedule (EvaluateSccSchedule).
+/// Options for the stratified schedule (EvaluateSccSchedule).
 struct SccScheduleOptions {
-  /// Maximum strata in flight. <= 1 runs the serial stratified
-  /// schedule (SCCs one after another, in place, in topological
-  /// order); N > 1 dispatches up to N independent SCC fixpoints onto
-  /// `pool` concurrently. Results are byte-identical at every value.
-  int max_parallel = 1;
-
-  /// Pool for max_parallel > 1; null uses ThreadPool::Shared().
-  ThreadPool* pool = nullptr;
-
-  /// Base evaluator options. `cancel` is treated as the whole-schedule
-  /// token: every stratum evaluates under its own child CancelToken
-  /// parented to it, so a deadline or cancellation cuts all in-flight
-  /// strata. `trace`, when set, receives one "scc" span per stratum
-  /// plus per-iteration spans on the serial path (parallel strata
-  /// record summary spans from the scheduling thread — a Trace is
-  /// thread-confined).
+  /// Base evaluator options, passed to every stratum's fixpoint.
+  /// `cancel` covers the whole schedule: a deadline or cancellation
+  /// stops the stratum in flight and the rest never start.
+  /// `max_iterations` and `max_tuples` cap the schedule's total:
+  /// each stratum runs with what the earlier strata left. `trace`,
+  /// when set, receives one "scc" span per stratum around that
+  /// stratum's per-iteration spans.
   SemiNaiveOptions seminaive;
 
   /// Attach a per-stratum statistics estimator for body-literal
-  /// ordering (same estimates in serial and parallel mode: a stratum
-  /// sees exactly its completed predecessors either way).
+  /// ordering, unless `seminaive.estimator` is already set: each
+  /// stratum's estimator sees its completed callees.
   bool use_stats_ordering = false;
-};
-
-/// Scheduling telemetry of one EvaluateSccSchedule run.
-struct SccScheduleStats {
-  int num_sccs = 0;        // strata in the condensation
-  int parallel_sccs = 0;   // strata dispatched to pool workers
-  int max_ready_width = 0;  // peak runnable strata (parallelism bound)
 };
 
 /// Evaluates `rules` to fixpoint over `*db` by scheduling the SCC
 /// condensation of their predicate dependency graph: each SCC's rules
-/// form one stratum, evaluated semi-naively once all its callee SCCs
-/// are complete (Tarjan's numbering in ProgramAnalysis makes
-/// ascending SCC id a valid serial order). In parallel mode every
-/// stratum runs on a per-SCC StratumOverlay whose imports are the
-/// completed predecessor strata; completed overlays are published
-/// into `*db` in one deterministic topological merge pass, so the
-/// final relation contents — including row order — are byte-identical
-/// to the serial stratified schedule regardless of worker count or
-/// interleaving.
+/// form one stratum, evaluated semi-naively in place once all its
+/// callee SCCs are complete (Tarjan's numbering in ProgramAnalysis
+/// makes ascending SCC id a valid serial order).
 ///
-/// On error (deadline, cancellation, resource caps) the first failing
-/// stratum's status is returned, in-flight siblings are cancelled via
-/// their child tokens, and `*stats` holds the merged partial work of
-/// every stratum that ran; in parallel mode `*db` is left untouched.
+/// On error (deadline, cancellation, resource caps) the failing
+/// stratum's status is returned, later strata do not run, and `*stats`
+/// holds the merged work of every stratum that ran; its `storage`
+/// covers only the strata that completed. `*num_sccs`, when
+/// given, receives the number of strata in the condensation.
 Status EvaluateSccSchedule(EvalDb* db, const std::vector<Rule>& rules,
                            const SccScheduleOptions& options,
-                           SemiNaiveStats* stats,
-                           SccScheduleStats* schedule_stats = nullptr);
+                           SemiNaiveStats* stats, int* num_sccs = nullptr);
 
 }  // namespace chainsplit
 

@@ -1,6 +1,5 @@
 #include "rel/catalog.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -117,72 +116,6 @@ std::vector<PredId> DatabaseOverlay::StoredPredicates() const {
     if (base_->GetRelation(pred) == nullptr) preds.push_back(pred);
   }
   return preds;
-}
-
-Relation* StratumOverlay::GetOrCreateRelation(PredId pred) {
-  auto it = local_.find(pred);
-  if (it != local_.end()) return &it->second;
-  auto [inserted, ok] =
-      local_.emplace(pred, Relation(program().preds().arity(pred)));
-  // Copy-on-write against the import snapshot: pre-seeded rows (magic
-  // seeds, EDB facts of this stratum's predicates) become the local
-  // relation's prefix, so derivation order matches evaluating in
-  // place.
-  auto imp = imports_.find(pred);
-  if (imp != imports_.end() && !imp->second->empty()) {
-    inserted->second.UnionWith(*imp->second);
-  }
-  return &inserted->second;
-}
-
-const Relation* StratumOverlay::GetRelation(PredId pred) const {
-  auto it = local_.find(pred);
-  if (it != local_.end()) return &it->second;
-  auto imp = imports_.find(pred);
-  return imp == imports_.end() ? nullptr : imp->second;
-}
-
-bool StratumOverlay::InsertFact(PredId pred, const Tuple& tuple) {
-  return GetOrCreateRelation(pred)->Insert(tuple);
-}
-
-RelationStats StratumOverlay::Stats(PredId pred) {
-  const Relation* relation = GetRelation(pred);
-  int64_t size = relation == nullptr ? 0 : relation->size();
-  CachedStats& cached = stats_[pred];
-  if (cached.at_size != size) {
-    if (relation == nullptr) {
-      cached.stats = RelationStats{};
-      cached.stats.distinct.assign(program().preds().arity(pred), 0);
-    } else {
-      cached.stats = ComputeStats(*relation);
-    }
-    cached.at_size = size;
-  }
-  return cached.stats;
-}
-
-std::vector<PredId> StratumOverlay::StoredPredicates() const {
-  std::vector<PredId> preds;
-  preds.reserve(local_.size() + imports_.size());
-  for (const auto& [pred, relation] : local_) preds.push_back(pred);
-  for (const auto& [pred, relation] : imports_) {
-    if (local_.count(pred) == 0) preds.push_back(pred);
-  }
-  return preds;
-}
-
-void StratumOverlay::PublishTo(EvalDb* target) const {
-  // Sorted predicate order keeps the pass deterministic; row order
-  // within each relation is the stratum's own derivation order, and
-  // UnionWith skips the seed prefix the target already holds.
-  std::vector<PredId> preds;
-  preds.reserve(local_.size());
-  for (const auto& [pred, relation] : local_) preds.push_back(pred);
-  std::sort(preds.begin(), preds.end());
-  for (PredId pred : preds) {
-    target->GetOrCreateRelation(pred)->UnionWith(local_.at(pred));
-  }
 }
 
 DatabaseOverlay::Telemetry DatabaseOverlay::telemetry() const {

@@ -176,76 +176,6 @@ class DatabaseOverlay final : public EvalDb {
   std::unordered_map<PredId, CachedStats> stats_;
 };
 
-/// Per-stratum copy-on-write layer used by the parallel SCC scheduler
-/// (core/scc_schedule.h). One StratumOverlay holds the fixpoint of one
-/// SCC of the program's predicate dependency graph. Reads resolve to
-/// stratum-local relations first, then to an *import map* — immutable
-/// relation snapshots of completed predecessor strata and of the parent
-/// database, assembled by the scheduling thread before the stratum is
-/// dispatched. Writes always land locally, with the first write to an
-/// imported predicate copying the import (copy-on-write), exactly like
-/// DatabaseOverlay over its base.
-///
-/// Unlike DatabaseOverlay, a StratumOverlay never reads the parent's
-/// relation *map* — every relation it may touch was resolved into
-/// `imports_` up front — so concurrent strata share no mutable state:
-/// each is single-threaded over its own locals plus frozen imports
-/// (concurrent lazy index builds on a shared import are publication-
-/// safe, see Relation). The parent is used only for the term pool
-/// (thread-safe interning) and the program (read-only during
-/// evaluation).
-class StratumOverlay final : public EvalDb {
- public:
-  explicit StratumOverlay(EvalDb* parent) : parent_(parent) {}
-  StratumOverlay(const StratumOverlay&) = delete;
-  StratumOverlay& operator=(const StratumOverlay&) = delete;
-
-  TermPool& pool() override { return parent_->pool(); }
-  const TermPool& pool() const override {
-    return static_cast<const EvalDb*>(parent_)->pool();
-  }
-  Program& program() override { return parent_->program(); }
-  const Program& program() const override {
-    return static_cast<const EvalDb*>(parent_)->program();
-  }
-
-  /// Makes `rel` visible to reads of `pred` (local writes shadow it).
-  /// Must be called before evaluation starts; `rel` must stay alive
-  /// and unmutated while this overlay is in use. Null is ignored.
-  void AddImport(PredId pred, const Relation* rel) {
-    if (rel != nullptr) imports_[pred] = rel;
-  }
-
-  Relation* GetOrCreateRelation(PredId pred) override;
-  const Relation* GetRelation(PredId pred) const override;
-  bool InsertFact(PredId pred, const Tuple& tuple) override;
-  RelationStats Stats(PredId pred) override;
-  std::vector<PredId> StoredPredicates() const override;
-
-  /// Predicates this stratum wrote (its fixpoint's head relations).
-  const std::unordered_map<PredId, Relation>& local() const { return local_; }
-
-  /// Publishes this stratum's relations into `*target*`: for every
-  /// locally written predicate, appends the rows `target` does not
-  /// already hold, in this stratum's derivation order. Called by the
-  /// scheduling thread, in topological stratum order, once the whole
-  /// schedule succeeded — successors read a stratum through its
-  /// overlay, so publication can be deferred to one deterministic
-  /// merge pass.
-  void PublishTo(EvalDb* target) const;
-
- private:
-  struct CachedStats {
-    int64_t at_size = -1;
-    RelationStats stats;
-  };
-
-  EvalDb* parent_;  // pool/program only; relations come from imports_
-  std::unordered_map<PredId, const Relation*> imports_;
-  std::unordered_map<PredId, Relation> local_;
-  std::unordered_map<PredId, CachedStats> stats_;
-};
-
 }  // namespace chainsplit
 
 #endif  // CHAINSPLIT_REL_CATALOG_H_

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-
-#include "common/thread_pool.h"
+#include <thread>
 
 namespace chainsplit {
 
@@ -27,10 +26,11 @@ BatchReport RunBatchWorkload(QueryService* service,
   std::vector<ClientResult> clients(options.num_clients);
 
   const ServiceStats before = service->stats();
-  ThreadPool pool(options.num_clients);
+  std::vector<std::jthread> threads;
+  threads.reserve(options.num_clients);
   const Clock::time_point start = Clock::now();
   for (int c = 0; c < options.num_clients; ++c) {
-    pool.Submit([service, &ops, &options, &clients, c] {
+    threads.emplace_back([service, &ops, &options, &clients, c] {
       ClientResult& mine = clients[c];
       mine.latencies_ms.reserve(options.ops_per_client);
       for (int i = 0; i < options.ops_per_client; ++i) {
@@ -52,7 +52,7 @@ BatchReport RunBatchWorkload(QueryService* service,
       }
     });
   }
-  pool.Wait();
+  for (std::jthread& thread : threads) thread.join();
   report.seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
 

@@ -42,9 +42,8 @@ struct BatchReport {
   double plan_hit_rate = 0;
 };
 
-/// Runs `ops` with `options.num_clients` concurrent clients on a
-/// private thread pool sized to the client count; blocks until every
-/// client finishes.
+/// Runs `ops` with `options.num_clients` concurrent clients, one
+/// thread each; blocks until every client finishes.
 BatchReport RunBatchWorkload(QueryService* service,
                              const std::vector<BatchOp>& ops,
                              const BatchOptions& options);

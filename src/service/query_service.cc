@@ -72,9 +72,6 @@ void QueryService::InitMetrics() {
   c_.scc_strata = registry_.AddCounter(
       "csdd_scc_strata_total",
       "SCC strata evaluated by the stratified scheduler");
-  c_.scc_parallel_strata = registry_.AddCounter(
-      "csdd_scc_parallel_strata_total",
-      "SCC strata dispatched onto the thread pool in parallel");
   c_.deadline_exceeded = registry_.AddCounter(
       "csdd_evals_cut_total", "Evaluations cut short, by cause",
       {{"cause", "deadline_exceeded"}});
@@ -175,7 +172,6 @@ void QueryService::AccumulateEvalStats(const QueryResponse& response) {
   if (response.scc_strata > 0) {
     c_.scc_schedules->Inc();
     c_.scc_strata->Inc(response.scc_strata);
-    c_.scc_parallel_strata->Inc(response.scc_parallel_strata);
   }
 }
 
@@ -413,7 +409,6 @@ ServiceStats QueryService::stats() const {
   out.result_cache_stale_skips = c_.result_cache_stale_skips->Value();
   out.scc_schedules = c_.scc_schedules->Value();
   out.scc_strata = c_.scc_strata->Value();
-  out.scc_parallel_strata = c_.scc_parallel_strata->Value();
   out.deadline_exceeded = c_.deadline_exceeded->Value();
   out.cancelled = c_.cancelled->Value();
   out.shared_evals = c_.shared_evals->Value();
@@ -509,15 +504,12 @@ Status QueryService::RunPlanner(EvalDb* eval_db,
                                 const ::chainsplit::Query& query,
                                 const std::string& signature,
                                 const CancelToken* cancel, Trace* trace,
-                                int parallel_scc, QueryResponse* response,
+                                QueryResponse* response,
                                 QueryResult* result) {
   PlannerOptions planner = options_.planner;
   planner.cancel = cancel;
   planner.trace = trace;
   planner.rectified = RectifiedRules();
-  // Per-request opt-in wins over the service default; the shared pool
-  // serves every request (scc_pool stays null).
-  if (parallel_scc > 0) planner.parallel_scc = parallel_scc;
 
   std::shared_ptr<PlanEntry> plan;
   if (options_.enable_plan_cache && !signature.empty() &&
@@ -597,16 +589,13 @@ QueryResponse QueryService::EvaluateOn(EvalDb* eval_db,
 
   QueryResult result;
   response.status = RunPlanner(eval_db, query, signature, cancel,
-                               request.trace, request.parallel_scc, &response,
-                               &result);
+                               request.trace, &response, &result);
   response.technique = result.technique;
   response.plan = std::move(result.plan);
   response.seminaive_stats = result.seminaive_stats;
   response.buffered_stats = result.buffered_stats;
   response.topdown_stats = result.topdown_stats;
   response.scc_strata = result.scc_strata;
-  response.scc_parallel_strata = result.scc_parallel_strata;
-  response.scc_max_ready_width = result.scc_max_ready_width;
   if (!response.status.ok()) return response;
 
   const TermPool& pool =
@@ -700,9 +689,7 @@ QueryResponse QueryService::QueryImpl(std::string_view text,
 
   const bool use_result_cache =
       options_.enable_result_cache && !request.bypass_cache;
-  // The SCC schedule orders rows and counts work its own way, so each
-  // parallel_scc setting caches its own result.
-  const std::string key = StrCat(request.parallel_scc, ":", canonical->key);
+  const std::string& key = canonical->key;
   if (use_result_cache) {
     TraceSpan lookup_span(request.trace, "result_cache_lookup");
     std::shared_ptr<ResultEntry> entry;

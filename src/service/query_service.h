@@ -94,13 +94,6 @@ struct RequestOptions {
   /// own Trace if tracing is on (`:trace on`) or the slow-query log is
   /// armed; otherwise the request runs untraced.
   Trace* trace = nullptr;
-  /// SCC-schedule evaluation of the bottom-up fixpoint (see
-  /// PlannerOptions::parallel_scc): 0 = monolithic fixpoint (default),
-  /// 1 = stratified serial schedule, N > 1 = up to N strata in flight
-  /// on the shared pool. Answers are identical at every setting;
-  /// stratified row order can differ from monolithic, so this is
-  /// per-request opt-in.
-  int parallel_scc = 0;
 };
 
 /// One answered query. Rows are pre-formatted strings: a cache hit
@@ -128,11 +121,9 @@ struct QueryResponse {
   BufferedStats buffered_stats;
   TopDownStats topdown_stats;
 
-  /// SCC-schedule provenance (see QueryResult); zero unless the
-  /// request opted into parallel_scc.
+  /// Strata of the bottom-up fixpoint's SCC schedule (see
+  /// QueryResult); zero when no fixpoint ran.
   int64_t scc_strata = 0;
-  int64_t scc_parallel_strata = 0;
-  int64_t scc_max_ready_width = 0;
 };
 
 /// Outcome of one Update (facts and/or rules, possibly with embedded
@@ -198,12 +189,10 @@ struct ServiceStats {
   /// evaluation and the insert: the entry would have been born stale
   /// (see the epoch revalidation at the Put in QueryImpl).
   int64_t result_cache_stale_skips = 0;
-  /// SCC-schedule usage: queries routed through the stratified
-  /// scheduler, total strata evaluated, and strata dispatched onto the
-  /// pool in parallel.
+  /// SCC-schedule usage: uncached queries that ran a bottom-up
+  /// fixpoint, and the strata those fixpoints evaluated.
   int64_t scc_schedules = 0;
   int64_t scc_strata = 0;
-  int64_t scc_parallel_strata = 0;
   int64_t deadline_exceeded = 0;
   int64_t cancelled = 0;
   /// Lock-acquisition split of uncached evaluations: shared_evals ran
@@ -392,12 +381,10 @@ class QueryService {
       EvalDb* eval_db, std::string_view text, const RequestOptions& request,
       bool want_deps, std::vector<std::pair<PredId, uint64_t>>* deps);
   /// Runs the planner with `cancel` attached; retries unforced when a
-  /// cached forced technique turns out inapplicable. `parallel_scc`
-  /// routes the bottom-up fixpoint through the stratified SCC
-  /// scheduler (RequestOptions::parallel_scc).
+  /// cached forced technique turns out inapplicable.
   Status RunPlanner(EvalDb* eval_db, const ::chainsplit::Query& query,
                     const std::string& signature, const CancelToken* cancel,
-                    Trace* trace, int parallel_scc, QueryResponse* response,
+                    Trace* trace, QueryResponse* response,
                     QueryResult* result);
   /// Rectified rules of the current epoch, computed on first use.
   /// Mutex-guarded so concurrent shared-lock evaluations can share the
@@ -482,7 +469,6 @@ class QueryService {
     Counter* result_cache_stale_skips = nullptr;
     Counter* scc_schedules = nullptr;
     Counter* scc_strata = nullptr;
-    Counter* scc_parallel_strata = nullptr;
     Counter* deadline_exceeded = nullptr;
     Counter* cancelled = nullptr;
     Counter* shared_evals = nullptr;

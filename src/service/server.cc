@@ -48,7 +48,6 @@ StatusOr<int> TcpServer::Start(int port) {
   session_options.tcp_mode = true;
   session_options.cancel = &shutdown_;
   session_options.net = &counters_;
-  session_options.parallel_scc = options_.parallel_scc;
   EngineOptions engine_options;
   engine_options.queue_capacity = options_.queue_capacity;
   engine_options.workers = options_.workers;

@@ -31,10 +31,6 @@ struct ServerOptions {
   /// hardware_concurrency)).
   size_t queue_capacity = 256;
   int workers = 0;
-
-  /// Initial SCC-parallel worker count for every server session
-  /// (SessionOptions::parallel_scc); 0 = monolithic evaluation.
-  int parallel_scc = 0;
 };
 
 /// A line-protocol TCP front-end over a QueryService: the epoll engine

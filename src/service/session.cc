@@ -10,7 +10,6 @@ namespace chainsplit {
 Session::Session(QueryService* service, SessionOptions options)
     : service_(service), options_(options) {
   request_.cancel = options_.cancel;
-  request_.parallel_scc = options_.parallel_scc;
 }
 
 const char* Session::HelpText() {
@@ -22,8 +21,6 @@ const char* Session::HelpText() {
       "  :plan                   toggle plan printing\n"
       "  :stats                  toggle evaluation statistics\n"
       "  :deadline MS            per-query deadline (0 = none)\n"
-      "  :parallel N             SCC-parallel evaluation with N workers\n"
-      "                          (0 = monolithic, 1 = stratified serial)\n"
       "  :preds                  list predicates with stored facts\n"
       "  :cache [json]           service cache/deadline counters\n"
       "  :net [json]             network front-end counters\n"
@@ -138,14 +135,6 @@ bool Session::HandleCommand(const std::string& line, std::string* out) {
   } else if (cmd == ":deadline") {
     request_.deadline = std::chrono::milliseconds(std::atoll(args.c_str()));
     *out += StrCat("% deadline ", request_.deadline.count(), " ms\n");
-  } else if (cmd == ":parallel") {
-    request_.parallel_scc = std::atoi(args.c_str());
-    *out += request_.parallel_scc == 0
-                ? std::string("% parallel scc off (monolithic)\n")
-                : StrCat("% parallel scc ", request_.parallel_scc,
-                         request_.parallel_scc == 1 ? " (stratified serial)"
-                                                    : " workers",
-                         "\n");
   } else if (cmd == ":preds") {
     for (const auto& [name, size] : service_->ListPredicates()) {
       *out += StrCat("  ", name, "  ", size, " tuples\n");

@@ -29,10 +29,6 @@ struct SessionOptions {
   /// Front-end telemetry rendered by `:net`; the TCP server wires its
   /// counters in, the plain REPL has none.
   const NetCounters* net = nullptr;
-  /// Initial RequestOptions::parallel_scc for every query in this
-  /// session (0 = monolithic default; `:parallel N` overrides at
-  /// runtime). Set from csdd's --parallel-scc=N flag.
-  int parallel_scc = 0;
 };
 
 class Session {

@@ -20,18 +20,6 @@ TEST(ChainEvalTest, ClosureOfLinearChain) {
   EXPECT_GE(stats.iterations, 4);
 }
 
-TEST(ChainEvalTest, ClosureFromSeeds) {
-  Database db;
-  GraphData g = GenerateChainGraph(&db, "e", 6, "n");
-  const Relation* edge =
-      db.GetRelation(db.program().preds().Find("e", 2).value());
-  TcStats stats;
-  auto reach = TransitiveClosureFrom(*edge, {g.nodes[3]}, 1000, &stats);
-  ASSERT_TRUE(reach.ok());
-  EXPECT_EQ(reach->size(), 2);  // n4, n5
-  EXPECT_TRUE(reach->Contains({g.nodes[3], g.nodes[5]}));
-}
-
 TEST(ChainEvalTest, CyclicGraphTerminates) {
   Database db;
   PredId e = db.program().InternPred("e", 2);
@@ -54,17 +42,6 @@ TEST(ChainEvalTest, IterationCapTriggers) {
   auto closure = TransitiveClosure(*edge, 5, &stats);
   ASSERT_FALSE(closure.ok());
   EXPECT_EQ(closure.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ChainEvalTest, SeedsWithNoEdges) {
-  Database db;
-  PredId e = db.program().InternPred("e", 2);
-  db.InsertFact(e, {db.pool().MakeSymbol("a"), db.pool().MakeSymbol("b")});
-  TcStats stats;
-  auto reach = TransitiveClosureFrom(*db.GetRelation(e),
-                                     {db.pool().MakeSymbol("z")}, 10, &stats);
-  ASSERT_TRUE(reach.ok());
-  EXPECT_TRUE(reach->empty());
 }
 
 /// A 600-row first-round delta through the closure kernel's probe

@@ -494,45 +494,17 @@ TEST(ServiceTest, RuleUpdateBetweenEvalAndInsertSkipsResultCache) {
   EXPECT_TRUE(third.result_cache_hit);
 }
 
-TEST(ServiceTest, ParallelSccRequestIsByteIdenticalToStratifiedSerial) {
+TEST(ServiceTest, BottomUpQueryReportsSccStrata) {
   QueryService service;
   SeedChain(&service, 30);
-
-  RequestOptions serial_req;
-  serial_req.parallel_scc = 1;
-  serial_req.bypass_cache = true;
-  QueryResponse serial = service.Query("?- tc(a0, Y).", serial_req);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-  EXPECT_EQ(serial.rows.size(), 30u);
-  EXPECT_GE(serial.scc_strata, 1);
-
-  for (int workers : {2, 4, 8}) {
-    RequestOptions par_req;
-    par_req.parallel_scc = workers;
-    par_req.bypass_cache = true;
-    QueryResponse parallel = service.Query("?- tc(a0, Y).", par_req);
-    ASSERT_TRUE(parallel.status.ok()) << parallel.status;
-    // Byte identity: same rows in the same order as the serial
-    // stratified schedule, at every worker count.
-    EXPECT_EQ(Flatten(parallel), Flatten(serial)) << workers << " workers";
-    EXPECT_EQ(parallel.vars, serial.vars);
-    EXPECT_GE(parallel.scc_strata, 1);
-  }
-
-  // The monolithic default returns the same answer set.
-  RequestOptions mono_req;
-  mono_req.bypass_cache = true;
-  QueryResponse mono = service.Query("?- tc(a0, Y).", mono_req);
-  ASSERT_TRUE(mono.status.ok());
-  EXPECT_EQ(mono.scc_strata, 0);  // did not route through the scheduler
-  std::vector<std::vector<std::string>> a = mono.rows;
-  std::vector<std::vector<std::string>> b = serial.rows;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
+  QueryResponse response = service.Query("?- tc(a0, Y).");
+  ASSERT_TRUE(response.status.ok()) << response.status;
+  EXPECT_FALSE(response.result_cache_hit);
+  EXPECT_EQ(response.rows.size(), 30u);
+  EXPECT_GE(response.scc_strata, 1);
 
   ServiceStats stats = service.stats();
-  EXPECT_GE(stats.scc_schedules, 4);
+  EXPECT_GE(stats.scc_schedules, 1);
   EXPECT_GE(stats.scc_strata, stats.scc_schedules);
 }
 

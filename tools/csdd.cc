@@ -29,14 +29,6 @@
 //   --trace                    start with per-query tracing on
 //                              (`:trace last` prints the newest trace)
 //
-// Evaluation flags (docs/service.md §Parallel SCC evaluation):
-//   --parallel-scc=N           evaluate uncached queries SCC-by-SCC
-//                              with up to N concurrent strata (0 =
-//                              monolithic default, 1 = stratified
-//                              serial); applies to the REPL and every
-//                              server session, `:parallel N` overrides
-//                              per session
-//
 // Loads each program file (facts, rules; queries in files run
 // immediately), then reads from stdin:
 //
@@ -90,7 +82,7 @@ constexpr const char* kUsage =
     "            [--data-dir=DIR] [--wal-sync=always|interval|none]\n"
     "            [--wal-sync-interval=MS] [--snapshot-every=N]\n"
     "            [--slow-query-ms=N] [--slow-query-dir=DIR] [--trace]\n"
-    "            [--parallel-scc=N] [program.dl ...]\n";
+    "            [program.dl ...]\n";
 
 int Run(int argc, char** argv) {
   int serve_port = -1;
@@ -137,8 +129,6 @@ int Run(int argc, char** argv) {
     } else if (StartsWith(arg, "--max-line=")) {
       server_options.max_line_bytes =
           static_cast<size_t>(std::atoll(arg.c_str() + 11));
-    } else if (StartsWith(arg, "--parallel-scc=")) {
-      server_options.parallel_scc = std::atoi(arg.c_str() + 15);
     } else if (arg == "--help" || arg == "-h") {
       std::printf("%s%s", kUsage, Session::HelpText());
       return 0;
@@ -200,9 +190,7 @@ int Run(int argc, char** argv) {
                 slow_query_dir.c_str());
     std::fflush(stdout);
   }
-  SessionOptions repl_options;
-  repl_options.parallel_scc = server_options.parallel_scc;
-  Session session(&service, repl_options);
+  Session session(&service);
   int load_errors = 0;
   for (const std::string& file : files) {
     int errors_before = session.error_count();
