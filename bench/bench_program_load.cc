@@ -80,12 +80,12 @@ void Load(benchmark::State& state, const std::string& text) {
     Status status = ParseProgram(text, &db->program());
     CS_CHECK(status.ok()) << status;
     const Clock::time_point parsed = Clock::now();
+    facts = db->program().num_staged_facts();
     status = db->LoadProgramFacts();
     CS_CHECK(status.ok()) << status;
     const Clock::time_point loaded = Clock::now();
     parse_s += std::chrono::duration<double>(parsed - start).count();
     load_s += std::chrono::duration<double>(loaded - parsed).count();
-    facts = static_cast<int64_t>(db->program().facts().size());
     state.PauseTiming();
     db.reset();
     state.ResumeTiming();

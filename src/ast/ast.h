@@ -2,8 +2,10 @@
 #define CHAINSPLIT_AST_AST_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -37,9 +39,16 @@ struct Query {
   friend bool operator==(const Query&, const Query&) = default;
 };
 
-/// A logic program: IDB rules, EDB facts and queries over a shared
-/// TermPool / PredicateTable. The pool is owned by the caller (usually a
-/// Database) so terms can be shared with relations.
+/// A logic program: IDB rules and queries over a shared TermPool /
+/// PredicateTable, plus the ground facts parsed but not yet stored. The
+/// pool is owned by the caller (usually a Database) so terms can be
+/// shared with relations.
+///
+/// Facts do not stay here: the parser and the CSV loader stage them in
+/// one flat buffer (per fact its predicate, then its arguments, with no
+/// allocation per fact), and Database::LoadProgramFacts drains that
+/// buffer into the relations and releases it. A loaded fact is held
+/// once, in its relation.
 class Program {
  public:
   explicit Program(TermPool* pool) : pool_(pool) {}
@@ -58,13 +67,40 @@ class Program {
   }
 
   void AddRule(Rule rule) { rules_.push_back(std::move(rule)); }
-  void AddFact(Atom fact) { facts_.push_back(std::move(fact)); }
   void AddQuery(Query query) { queries_.push_back(std::move(query)); }
 
   const std::vector<Rule>& rules() const { return rules_; }
   std::vector<Rule>& mutable_rules() { return rules_; }
-  const std::vector<Atom>& facts() const { return facts_; }
   const std::vector<Query>& queries() const { return queries_; }
+
+  /// Stages one ground fact of `pred` (args.size() == its arity) until
+  /// the next Database::LoadProgramFacts.
+  void StageFact(PredId pred, std::span<const TermId> args) {
+    staged_.push_back(pred);
+    staged_.insert(staged_.end(), args.begin(), args.end());
+    ++num_staged_;
+  }
+
+  /// Facts staged and not yet loaded.
+  int64_t num_staged_facts() const { return num_staged_; }
+
+  /// Calls `fn(PredId, std::span<const TermId> args)` for every staged
+  /// fact, in staging order.
+  template <typename Fn>
+  void ForEachStagedFact(Fn&& fn) const {
+    for (size_t at = 0; at < staged_.size();) {
+      const PredId pred = staged_[at++];
+      const size_t arity = static_cast<size_t>(preds_.arity(pred));
+      fn(pred, std::span<const TermId>(staged_.data() + at, arity));
+      at += arity;
+    }
+  }
+
+  /// Drops every staged fact and returns the buffer's memory.
+  void ReleaseStagedFacts() {
+    std::vector<int32_t>().swap(staged_);
+    num_staged_ = 0;
+  }
 
   /// Rollback support for transactional parsing: the parser appends
   /// clauses as it goes, so a parse error mid-text leaves a half-applied
@@ -75,15 +111,18 @@ class Program {
   /// idempotent and semantically inert.
   struct Marker {
     size_t rules = 0;
-    size_t facts = 0;
+    size_t staged_cells = 0;
+    int64_t staged_facts = 0;
     size_t queries = 0;
   };
   Marker Mark() const {
-    return Marker{rules_.size(), facts_.size(), queries_.size()};
+    return Marker{rules_.size(), staged_.size(), num_staged_,
+                  queries_.size()};
   }
   void RollbackTo(const Marker& marker) {
     rules_.resize(marker.rules);
-    facts_.resize(marker.facts);
+    staged_.resize(marker.staged_cells);
+    num_staged_ = marker.staged_facts;
     queries_.resize(marker.queries);
   }
 
@@ -122,7 +161,11 @@ class Program {
   TermPool* pool_;
   PredicateTable preds_;
   std::vector<Rule> rules_;
-  std::vector<Atom> facts_;
+  // Staged facts, back to back: a PredId, then its arity many TermIds.
+  static_assert(std::is_same_v<PredId, int32_t> &&
+                std::is_same_v<TermId, int32_t>);
+  std::vector<int32_t> staged_;
+  int64_t num_staged_ = 0;
   std::vector<Query> queries_;
   std::unordered_map<PredId, std::vector<std::string>> finite_modes_;
 };

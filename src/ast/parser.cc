@@ -217,57 +217,69 @@ class Parser {
       program_->AddQuery(std::move(query));
       return Status::Ok();
     }
-    CS_ASSIGN_OR_RETURN(Atom head, ParseGoal());
-    Rule rule;
-    rule.head = std::move(head);
+    // The head is parsed into a member whose argument vector is reused,
+    // so a fact costs no allocation of its own on its way to the
+    // staging buffer.
+    CS_RETURN_IF_ERROR(ParseGoalInto(&head_));
     if (TryTakePunct(":-")) {
+      Rule rule;
+      rule.head = head_;
       CS_RETURN_IF_ERROR(ParseGoalList(&rule.body));
+      CS_RETURN_IF_ERROR(ExpectPunct("."));
+      program_->AddRule(std::move(rule));
+      return Status::Ok();
     }
     CS_RETURN_IF_ERROR(ExpectPunct("."));
-    if (rule.body.empty() && IsGroundAtom(pool(), rule.head)) {
-      program_->AddFact(std::move(rule.head));
+    if (IsGroundAtom(pool(), head_)) {
+      program_->StageFact(head_.pred, head_.args);
     } else {
-      program_->AddRule(std::move(rule));
+      program_->AddRule(Rule{head_, {}});
     }
     return Status::Ok();
   }
 
   Status ParseGoalList(std::vector<Atom>* goals) {
     while (true) {
-      CS_ASSIGN_OR_RETURN(Atom goal, ParseGoal());
-      goals->push_back(std::move(goal));
+      goals->emplace_back();
+      CS_RETURN_IF_ERROR(ParseGoalInto(&goals->back()));
       if (!TryTakePunct(",")) return Status::Ok();
     }
+  }
+
+  StatusOr<Atom> ParseGoal() {
+    Atom atom;
+    CS_RETURN_IF_ERROR(ParseGoalInto(&atom));
+    return atom;
   }
 
   /// goal := name '(' args ')'            ordinary atom
   ///       | name                         propositional atom
   ///       | term CMP term                comparison
   ///       | term 'is' expr               arithmetic desugaring
-  StatusOr<Atom> ParseGoal() {
+  /// Overwrites `*atom`, reusing its argument vector's capacity.
+  Status ParseGoalInto(Atom* atom) {
     // An atom goal starts with a lowercase name followed by '(' or a
     // clause separator; anything else is the left operand of an
     // operator goal.
     if (Peek().kind == TokenKind::kAtomName && Peek().text != "is" &&
         !IsOperatorNext()) {
       std::string_view name = Take().text;
-      Atom atom;
-      std::vector<TermId> args;
+      atom->args.clear();
       if (TryTakePunct("(")) {
         while (true) {
           CS_ASSIGN_OR_RETURN(TermId arg, ParseTermExpr());
-          args.push_back(arg);
+          atom->args.push_back(arg);
           if (TryTakePunct(")")) break;
           CS_RETURN_IF_ERROR(ExpectPunct(","));
         }
       }
-      atom.pred =
-          program_->InternPred(name, static_cast<int>(args.size()));
-      atom.args = std::move(args);
-      return atom;
+      atom->pred =
+          program_->InternPred(name, static_cast<int>(atom->args.size()));
+      return Status::Ok();
     }
     CS_ASSIGN_OR_RETURN(TermId lhs, ParseTermExpr());
-    return ParseOperatorGoal(lhs);
+    CS_ASSIGN_OR_RETURN(*atom, ParseOperatorGoal(lhs));
+    return Status::Ok();
   }
 
   /// True when the next token begins an operator goal, i.e. the
@@ -428,6 +440,7 @@ class Parser {
   Token current_;
   Token next_;
   Program* program_;
+  Atom head_;  // the clause head being parsed (see ParseClause)
   int depth_ = 0;  // ParseTermExpr calls in progress
 };
 

@@ -27,9 +27,10 @@ namespace chainsplit {
 ///     the functional-predicate transformation of §1.2.
 ///   * List sugar `[a, b | T]` builds '.'(a, '.'(b, T)) terms.
 ///
-/// Ground atoms with empty bodies are recorded as EDB facts (except
-/// for rules over reserved builtin predicates, which are rejected);
-/// non-ground ones as rules. Errors carry line:column positions.
+/// Ground atoms with empty bodies are staged as EDB facts
+/// (Program::StageFact, stored by Database::LoadProgramFacts), except
+/// for rules over reserved builtin predicates, which are rejected;
+/// non-ground ones become rules. Errors carry line:column positions.
 ///
 /// The parser pulls tokens from the lexer as it goes (two tokens of
 /// lookahead, each a view into `text`), so the text is never tokenized

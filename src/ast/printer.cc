@@ -53,10 +53,10 @@ std::string QueryToString(const Program& program, const Query& query) {
 
 std::string ProgramToString(const Program& program) {
   std::string out;
-  for (const Atom& fact : program.facts()) {
-    out += AtomToString(program, fact);
+  program.ForEachStagedFact([&](PredId pred, std::span<const TermId> args) {
+    out += AtomToString(program, Atom{pred, {args.begin(), args.end()}});
     out += ".\n";
-  }
+  });
   for (const Rule& rule : program.rules()) {
     out += RuleToString(program, rule);
     out += "\n";

@@ -17,7 +17,8 @@ std::string RuleToString(const Program& program, const Rule& rule);
 /// Renders `query` as "?- g1, ..., gk.".
 std::string QueryToString(const Program& program, const Query& query);
 
-/// Renders the whole program: facts, then rules, then queries.
+/// Renders the whole program: staged (not yet loaded) facts, then
+/// rules, then queries. Loaded facts live in relations, not here.
 std::string ProgramToString(const Program& program);
 
 }  // namespace chainsplit

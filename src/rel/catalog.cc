@@ -2,8 +2,6 @@
 
 #include <unordered_set>
 
-#include "common/strings.h"
-
 namespace chainsplit {
 
 RelationStats ComputeStats(const Relation& relation) {
@@ -34,14 +32,31 @@ const Relation* Database::GetRelation(PredId pred) const {
   return it == relations_.end() ? nullptr : &it->second;
 }
 
-Status Database::LoadProgramFacts() {
-  for (const Atom& fact : program_.facts()) {
-    if (!IsGroundAtom(pool_, fact)) {
-      return InvalidArgumentError(
-          StrCat("non-ground fact for ", program_.preds().Display(fact.pred)));
-    }
-    GetOrCreateRelation(fact.pred)->Insert(fact.args);
+Status Database::LoadProgramFacts(int64_t* new_facts) {
+  // Size each relation once for what it is about to receive, so the
+  // drain neither regrows an arena nor rehashes a dedup table on the way.
+  std::unordered_map<PredId, int64_t> incoming;
+  program_.ForEachStagedFact(
+      [&](PredId pred, std::span<const TermId>) { ++incoming[pred]; });
+  for (const auto& [pred, rows] : incoming) {
+    Relation* relation = GetOrCreateRelation(pred);
+    relation->Reserve(relation->num_rows() + rows);
   }
+  int64_t added = 0;
+  PredId last = kNullPred;
+  Relation* relation = nullptr;
+  program_.ForEachStagedFact([&](PredId pred, std::span<const TermId> args) {
+    if (pred != last) {
+      relation = GetOrCreateRelation(pred);
+      last = pred;
+    }
+    if (relation->Insert(
+            Relation::Row(args.data(), static_cast<int>(args.size())))) {
+      ++added;
+    }
+  });
+  program_.ReleaseStagedFacts();
+  if (new_facts != nullptr) *new_facts = added;
   return Status::Ok();
 }
 

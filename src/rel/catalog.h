@@ -102,9 +102,12 @@ class Database : public EvalDb {
   Relation* GetOrCreateRelation(PredId pred) override;
   const Relation* GetRelation(PredId pred) const override;
 
-  /// Moves every fact of program() into its EDB relation. Non-ground
-  /// facts are impossible (the parser classifies them as rules).
-  Status LoadProgramFacts();
+  /// Drains the facts staged in program() (by the parser or the CSV
+  /// loader) into their EDB relations and releases the staging buffer,
+  /// so each loaded fact is held once, in its relation. When
+  /// `new_facts` is given, it receives the number of facts that were
+  /// not already stored.
+  Status LoadProgramFacts(int64_t* new_facts = nullptr);
 
   bool InsertFact(PredId pred, const Tuple& tuple) override;
 

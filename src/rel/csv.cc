@@ -1,6 +1,8 @@
 #include "rel/csv.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 
 #include "common/strings.h"
 
@@ -19,36 +21,58 @@ bool IsIntegerField(std::string_view field) {
 
 }  // namespace
 
-StatusOr<std::vector<Tuple>> ParseCsvTuples(Database* db, PredId pred,
-                                            std::string_view text,
-                                            const CsvOptions& options) {
-  const int arity = db->program().preds().arity(pred);
-  TermPool& pool = db->pool();
+StatusOr<int64_t> StageCsvFacts(Program* program, PredId pred,
+                                std::string_view text,
+                                const CsvOptions& options) {
+  const size_t arity = static_cast<size_t>(program->preds().arity(pred));
+  TermPool& pool = program->pool();
+  const Program::Marker marker = program->Mark();
+  auto fail = [&](std::string message) {
+    program->RollbackTo(marker);
+    return InvalidArgumentError(std::move(message));
+  };
 
-  std::vector<Tuple> staged;
+  std::vector<TermId> row;
+  row.reserve(arity);
+  int64_t staged = 0;
   int line_number = 0;
-  for (std::string_view line_raw : StrSplit(text, '\n')) {
+  for (size_t at = 0; at <= text.size();) {
+    size_t eol = text.find('\n', at);
+    if (eol == std::string_view::npos) eol = text.size();
+    std::string_view line = text.substr(at, eol - at);
+    at = eol + 1;
     ++line_number;
-    std::string line(line_raw);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> fields = StrSplit(line, options.delimiter);
-    if (static_cast<int>(fields.size()) != arity) {
-      return InvalidArgumentError(
-          StrCat("line ", line_number, ": expected ", arity, " fields for ",
-                 db->program().preds().Display(pred), ", got ",
-                 fields.size()));
+    const size_t fields =
+        static_cast<size_t>(
+            std::count(line.begin(), line.end(), options.delimiter)) +
+        1;
+    if (fields != arity) {
+      return fail(StrCat("line ", line_number, ": expected ", arity,
+                         " fields for ", program->preds().Display(pred),
+                         ", got ", fields));
     }
-    Tuple tuple;
-    tuple.reserve(fields.size());
-    for (const std::string& field : fields) {
-      if (IsIntegerField(field)) {
-        tuple.push_back(pool.MakeInt(std::stoll(field)));
-      } else {
-        tuple.push_back(pool.MakeSymbol(field));
+    row.clear();
+    for (size_t from = 0; row.size() < arity;) {
+      size_t to = line.find(options.delimiter, from);
+      if (to == std::string_view::npos) to = line.size();
+      const std::string_view field = line.substr(from, to - from);
+      from = to + 1;
+      if (!IsIntegerField(field)) {
+        row.push_back(pool.MakeSymbol(field));
+        continue;
       }
+      int64_t value = 0;
+      if (std::from_chars(field.data(), field.data() + field.size(), value)
+              .ec != std::errc()) {
+        return fail(StrCat("line ", line_number, ": integer field '", field,
+                           "' out of range"));
+      }
+      row.push_back(pool.MakeInt(value));
     }
-    staged.push_back(std::move(tuple));
+    program->StageFact(pred, row);
+    ++staged;
   }
   return staged;
 }
@@ -56,17 +80,12 @@ StatusOr<std::vector<Tuple>> ParseCsvTuples(Database* db, PredId pred,
 StatusOr<int64_t> LoadFactsFromString(Database* db, PredId pred,
                                       std::string_view text,
                                       const CsvOptions& options) {
-  // Stage first, insert only after the whole text validated: a parse
+  // Stage first, load only after the whole text validated: a parse
   // error anywhere leaves the relation exactly as it was.
-  CS_ASSIGN_OR_RETURN(std::vector<Tuple> staged,
-                      ParseCsvTuples(db, pred, text, options));
-  Relation* relation = db->GetOrCreateRelation(pred);
-  relation->Reserve(relation->num_rows() +
-                    static_cast<int64_t>(staged.size()));
+  CS_RETURN_IF_ERROR(
+      StageCsvFacts(&db->program(), pred, text, options).status());
   int64_t inserted = 0;
-  for (const Tuple& tuple : staged) {
-    if (relation->Insert(tuple)) ++inserted;
-  }
+  CS_RETURN_IF_ERROR(db->LoadProgramFacts(&inserted));
   return inserted;
 }
 

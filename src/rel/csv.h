@@ -20,19 +20,20 @@ struct CsvOptions {
   char delimiter = ',';
 };
 
-/// Parses every line of `text` into tuples for `pred` without touching
-/// the relation (interned terms are the only side effect, and interning
-/// is semantically inert). This is the staging half of a failure-atomic
-/// load: the caller inserts the staged tuples only after the *whole*
-/// file validated, so a malformed line 10,000 never leaves lines
-/// 1..9,999 behind.
-StatusOr<std::vector<Tuple>> ParseCsvTuples(Database* db, PredId pred,
-                                            std::string_view text,
-                                            const CsvOptions& options = {});
+/// Parses every line of `text` into facts of `pred` and stages them in
+/// `*program` (Program::StageFact, the buffer the parser stages into)
+/// without touching any relation; Database::LoadProgramFacts stores
+/// them. Returns the number of rows staged. All-or-nothing: on a
+/// malformed line the rows staged from `text` are dropped again, so a
+/// bad line 10,000 never leaves lines 1..9,999 behind (interned terms
+/// are the only side effect, and interning is semantically inert).
+StatusOr<int64_t> StageCsvFacts(Program* program, PredId pred,
+                                std::string_view text,
+                                const CsvOptions& options = {});
 
 /// Loads `text` into the relation of `pred` in `*db`. Returns the
 /// number of *new* tuples inserted. Failure-atomic: on any parse error
-/// the relation is untouched (stage via ParseCsvTuples, then insert).
+/// the relation is untouched (stage via StageCsvFacts, then load).
 StatusOr<int64_t> LoadFactsFromString(Database* db, PredId pred,
                                       std::string_view text,
                                       const CsvOptions& options = {});

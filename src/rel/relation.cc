@@ -1,6 +1,7 @@
 #include "rel/relation.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 namespace chainsplit {
@@ -89,7 +90,12 @@ Relation& Relation::operator=(Relation&& other) noexcept {
 
 void Relation::Reserve(int64_t n) {
   if (n <= 0) return;
-  arena_.reserve(static_cast<size_t>(n) * arity_);
+  // At least doubling, so callers that reserve a few rows more per call
+  // (one small update after another) stay amortized O(1) per row.
+  const size_t cells = static_cast<size_t>(n) * arity_;
+  if (cells > arena_.capacity()) {
+    arena_.reserve(std::max(cells, 2 * arena_.capacity()));
+  }
   size_t want = SlotsFor(static_cast<size_t>(n));
   if (want > slots_.size()) GrowDedup(want);
 }
@@ -298,9 +304,15 @@ Relation::Index* Relation::FindIndex(const std::vector<int>& columns) const {
 Relation::Postings Relation::Probe(const std::vector<int>& columns,
                                    const Tuple& key) const {
   CS_DCHECK(!columns.empty()) << "Probe requires at least one column";
-  CS_DCHECK(std::is_sorted(columns.begin(), columns.end()))
-      << "Probe columns must be sorted";
+  CS_DCHECK(std::adjacent_find(columns.begin(), columns.end(),
+                               std::greater_equal<int>()) == columns.end())
+      << "Probe columns must be sorted and distinct";
   probes_.fetch_add(1, std::memory_order_relaxed);
+  if (IsFullKey(columns)) {
+    const int64_t row_id = FindRow(key.data());
+    return row_id < 0 ? Postings()
+                      : Postings::Single(static_cast<uint32_t>(row_id));
+  }
   const Index& index = GetOrBuildIndex(columns);
   uint32_t bucket = FindBucket(index, key.data());
   if (bucket == kEmpty) return Postings();

@@ -87,8 +87,9 @@ class Relation {
   };
 
   /// The row ids matching one Probe key: a view over an index chain in
-  /// the owning index's posting pool. Iteration yields int64_t row
-  /// ids in insertion order.
+  /// the owning index's posting pool, or the single row a full-key
+  /// probe found in the dedup table. Iteration yields int64_t row ids
+  /// in insertion order.
   ///
   /// Chains are unrolled: each pool node is a 32-byte block of up to
   /// six row ids, so consuming a chain costs one dependent pointer
@@ -115,10 +116,13 @@ class Relation {
       const_iterator(const std::vector<PostingBlock>* pool, uint32_t at)
           : pool_(pool), at_(at) {}
       int64_t operator*() const {
+        if (pool_ == nullptr) return static_cast<int64_t>(at_);  // single
         return static_cast<int64_t>((*pool_)[at_].rows[slot_]);
       }
       const_iterator& operator++() {
-        if (++slot_ >= (*pool_)[at_].count) {
+        if (pool_ == nullptr) {
+          at_ = kNull;
+        } else if (++slot_ >= (*pool_)[at_].count) {
           at_ = (*pool_)[at_].next;
           slot_ = 0;
         }
@@ -143,6 +147,10 @@ class Relation {
     Postings(const std::vector<PostingBlock>* pool, uint32_t head,
              uint32_t count)
         : pool_(pool), head_(head), count_(count) {}
+    /// Just row `row_id`; no pool behind it.
+    static Postings Single(uint32_t row_id) {
+      return Postings(nullptr, row_id, 1);
+    }
 
     const_iterator begin() const { return const_iterator(pool_, head_); }
     const_iterator end() const { return const_iterator(pool_, kNull); }
@@ -194,7 +202,8 @@ class Relation {
   /// relation's logical contents are unchanged.
   uint64_t version() const { return version_; }
 
-  /// Pre-sizes the arena and the dedup table for `n` rows.
+  /// Pre-sizes the arena and the dedup table for `n` rows (an arena
+  /// that has to grow at least doubles).
   void Reserve(int64_t n);
 
   /// Inserts `tuple`; returns true when it was not already present.
@@ -227,17 +236,25 @@ class Relation {
 
   /// Row ids whose values at `columns` equal `key` (same order).
   /// Builds a hash index on `columns` on first use; subsequent inserts
-  /// maintain it. `columns` must be non-empty, sorted ascending.
+  /// maintain it. A probe on every column is a membership test: one
+  /// dedup-table lookup answers it, and no index is built. `columns`
+  /// must be non-empty, sorted ascending and distinct.
   Postings Probe(const std::vector<int>& columns, const Tuple& key) const;
 
   /// Allocation-free probe: invokes `fn(int64_t row_id)` for every
   /// matching row, in insertion order. `key` holds columns.size()
   /// values. Reentrant: the callback may probe this or other relations
-  /// (but must not insert into this one).
+  /// (but must not insert into this one). A full-key probe is a dedup
+  /// lookup, as in Probe.
   template <typename Fn>
   void ProbeEach(const std::vector<int>& columns, const TermId* key,
                  Fn&& fn) const {
     probes_.fetch_add(1, std::memory_order_relaxed);
+    if (IsFullKey(columns)) {
+      const int64_t row_id = FindRow(key);
+      if (row_id >= 0) fn(row_id);
+      return;
+    }
     const Index& index = GetOrBuildIndex(columns);
     uint32_t bucket = FindBucket(index, key);
     if (bucket == kEmpty) return;
@@ -255,11 +272,12 @@ class Relation {
     ProbeEach(columns, key.data(), static_cast<Fn&&>(fn));
   }
 
-  /// Forces the index on `columns` to exist. Publication-safe: any
-  /// reader may call this; losers of a concurrent build race reuse the
-  /// winner's index.
+  /// Forces the index on `columns` to exist (a no-op for a full key,
+  /// which the dedup table serves). Publication-safe: any reader may
+  /// call this; losers of a concurrent build race reuse the winner's
+  /// index.
   void EnsureIndex(const std::vector<int>& columns) const {
-    GetOrBuildIndex(columns);
+    if (!IsFullKey(columns)) GetOrBuildIndex(columns);
   }
 
   /// Copies every tuple of `other` into this relation; returns the
@@ -351,6 +369,11 @@ class Relation {
       if (r[columns[k]] != key[k]) return false;
     }
     return true;
+  }
+
+  /// True when sorted, distinct `columns` name every column.
+  bool IsFullKey(const std::vector<int>& columns) const {
+    return static_cast<int>(columns.size()) == arity_;
   }
 
   bool InsertRow(const TermId* row);

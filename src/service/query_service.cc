@@ -833,7 +833,6 @@ UpdateResponse QueryService::UpdateInternal(std::string_view text,
   std::unique_lock<std::shared_mutex> db_lock(db_mu_);
   Program& program = db_.program();
   const Program::Marker marker = program.Mark();
-  const size_t facts_before = marker.facts;
   const size_t rules_before = marker.rules;
   const size_t queries_before = marker.queries;
 
@@ -854,7 +853,7 @@ UpdateResponse QueryService::UpdateInternal(std::string_view text,
     // record is in the log. A WAL failure aborts the statement.
     WalRecord record;
     record.type = WalRecordType::kUpdate;
-    record.text = std::string(text);
+    record.text = text;
     StatusOr<uint64_t> lsn = wal_->Append(std::move(record));
     if (!lsn.ok()) {
       program.RollbackTo(marker);
@@ -864,10 +863,9 @@ UpdateResponse QueryService::UpdateInternal(std::string_view text,
     NoteLoggedRecord(*lsn);
   }
 
-  for (size_t i = facts_before; i < program.facts().size(); ++i) {
-    const Atom& fact = program.facts()[i];
-    if (db_.InsertFact(fact.pred, fact.args)) ++response.new_facts;
-  }
+  // The staged facts go to their relations, and the staging buffer is
+  // released: a fact is held once, in its relation.
+  response.status = db_.LoadProgramFacts(&response.new_facts);
   if (program.rules().size() != rules_before) {
     response.new_rules =
         static_cast<int64_t>(program.rules().size() - rules_before);
@@ -921,7 +919,7 @@ StatusOr<int64_t> QueryService::LoadCsv(const std::string& name, int arity,
                         /*log=*/true);
 }
 
-StatusOr<int64_t> QueryService::LoadCsvContent(const std::string& name,
+StatusOr<int64_t> QueryService::LoadCsvContent(std::string_view name,
                                                int arity,
                                                std::string_view content,
                                                char delimiter, bool log) {
@@ -934,25 +932,25 @@ StatusOr<int64_t> QueryService::LoadCsvContent(const std::string& name,
   // line 10,000 leaves the database exactly as it was (failure-atomic),
   // and the WAL record — one per load, appended only after staging
   // succeeded — is all-or-nothing with it.
-  CS_ASSIGN_OR_RETURN(std::vector<Tuple> staged,
-                      ParseCsvTuples(&db_, pred, content, options));
+  Program& program = db_.program();
+  const Program::Marker marker = program.Mark();
+  CS_RETURN_IF_ERROR(StageCsvFacts(&program, pred, content, options).status());
   if (log && wal_ != nullptr) {
     WalRecord record;
     record.type = WalRecordType::kCsvLoad;
-    record.text = std::string(content);
+    record.text = content;
     record.pred_name = name;
     record.arity = arity;
     record.delimiter = delimiter;
     StatusOr<uint64_t> lsn = wal_->Append(std::move(record));
-    if (!lsn.ok()) return lsn.status();
+    if (!lsn.ok()) {
+      program.RollbackTo(marker);
+      return lsn.status();
+    }
     NoteLoggedRecord(*lsn);
   }
-  Relation* relation = db_.GetOrCreateRelation(pred);
-  relation->Reserve(relation->num_rows() + static_cast<int64_t>(staged.size()));
   int64_t inserted = 0;
-  for (const Tuple& tuple : staged) {
-    if (relation->Insert(tuple)) ++inserted;
-  }
+  CS_RETURN_IF_ERROR(db_.LoadProgramFacts(&inserted));
   return inserted;
 }
 

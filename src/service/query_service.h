@@ -420,7 +420,7 @@ class QueryService {
   /// Same for CSV loads: stage-parse the whole content, log it, then
   /// insert. `content` is the file's bytes (the WAL stores content, not
   /// paths).
-  StatusOr<int64_t> LoadCsvContent(const std::string& name, int arity,
+  StatusOr<int64_t> LoadCsvContent(std::string_view name, int arity,
                                    std::string_view content, char delimiter,
                                    bool log);
   /// Replays one recovered WAL record through the paths above.

@@ -108,6 +108,11 @@ enum class WalRecordType : uint8_t {
   kCsvLoad = 2,
 };
 
+/// One log record. It owns none of its bytes: `text` and `pred_name`
+/// are views. Wal::Append reads them straight from the caller's
+/// buffers, and a record handed out by ScanWalFile views the scanned
+/// segment, so it is valid only inside the scan callback (copy what
+/// must outlive it).
 struct WalRecord {
   /// Log sequence number, assigned by Wal::Append; strictly
   /// consecutive across segments. Recovery verifies consecutiveness to
@@ -116,33 +121,37 @@ struct WalRecord {
   WalRecordType type = WalRecordType::kUpdate;
 
   /// kUpdate: the statement text. kCsvLoad: the delimited file content.
-  std::string text;
+  std::string_view text;
 
   // kCsvLoad only.
-  std::string pred_name;
+  std::string_view pred_name;
   int32_t arity = 0;
   char delimiter = ',';
 };
 
-/// Encodes the record payload (the Wal adds the length + CRC framing).
+/// Appends the payload's fixed fields to `*out`: everything up to and
+/// including the u32 length of `text`, whose bytes end the payload.
+inline void AppendWalRecordHead(std::string* out, const WalRecord& record) {
+  wire::PutU64(out, record.lsn);
+  wire::PutU8(out, static_cast<uint8_t>(record.type));
+  if (record.type == WalRecordType::kCsvLoad) {
+    wire::PutString(out, record.pred_name);
+    wire::PutU32(out, static_cast<uint32_t>(record.arity));
+    wire::PutU8(out, static_cast<uint8_t>(record.delimiter));
+  }
+  wire::PutU32(out, static_cast<uint32_t>(record.text.size()));
+}
+
+/// Encodes the record payload (the Wal adds the length + CRC framing):
+/// the fixed fields, then the text.
 inline std::string EncodeWalRecord(const WalRecord& record) {
   std::string out;
-  wire::PutU64(&out, record.lsn);
-  wire::PutU8(&out, static_cast<uint8_t>(record.type));
-  switch (record.type) {
-    case WalRecordType::kUpdate:
-      wire::PutString(&out, record.text);
-      break;
-    case WalRecordType::kCsvLoad:
-      wire::PutString(&out, record.pred_name);
-      wire::PutU32(&out, static_cast<uint32_t>(record.arity));
-      wire::PutU8(&out, static_cast<uint8_t>(record.delimiter));
-      wire::PutString(&out, record.text);
-      break;
-  }
+  AppendWalRecordHead(&out, record);
+  out.append(record.text);
   return out;
 }
 
+/// Decodes one payload. The record's views point into `payload`.
 inline StatusOr<WalRecord> DecodeWalRecord(std::string_view payload) {
   wire::Reader in{payload};
   WalRecord record;
@@ -153,7 +162,7 @@ inline StatusOr<WalRecord> DecodeWalRecord(std::string_view payload) {
   switch (static_cast<WalRecordType>(type)) {
     case WalRecordType::kUpdate:
       record.type = WalRecordType::kUpdate;
-      if (!in.ReadString(&record.text)) {
+      if (!in.ReadStringView(&record.text)) {
         return InvalidArgumentError("wal update record truncated");
       }
       break;
@@ -161,8 +170,8 @@ inline StatusOr<WalRecord> DecodeWalRecord(std::string_view payload) {
       record.type = WalRecordType::kCsvLoad;
       uint32_t arity = 0;
       uint8_t delimiter = 0;
-      if (!in.ReadString(&record.pred_name) || !in.ReadU32(&arity) ||
-          !in.ReadU8(&delimiter) || !in.ReadString(&record.text)) {
+      if (!in.ReadStringView(&record.pred_name) || !in.ReadU32(&arity) ||
+          !in.ReadU8(&delimiter) || !in.ReadStringView(&record.text)) {
         return InvalidArgumentError("wal csv record truncated");
       }
       record.arity = static_cast<int32_t>(arity);

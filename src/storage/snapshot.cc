@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <fstream>
 #include <map>
 
 #include "common/strings.h"
@@ -26,7 +25,10 @@ namespace {
 //   term pool:   u64 count, then per node a kind byte + kind payload
 //   predicates:  u64 count, then (string name, u32 arity)
 //   rules:       u64 count, then head atom + u32 body size + body atoms
-//   facts:       u64 count, then atoms (program-level fact list)
+//   facts:       u64 count, then atoms. Always 0 when written: facts
+//                live in their relations only. Older builds wrote the
+//                program's fact list here, rows their relations section
+//                holds too; the decoder validates and skips them.
 //   finite modes:u64 count, then (u32 pred, u32 n, n strings)
 //   relations:   u64 count, then (u32 pred, u32 arity, u64 rows,
 //                rows*arity raw i32 TermIds — the arena, verbatim)
@@ -154,11 +156,8 @@ std::string EncodeSnapshotPayload(const Database& db, uint64_t lsn) {
     for (const Atom& atom : rule.body) PutAtom(&out, atom);
   }
 
-  // Program-level fact list (kept so a recovered program is
-  // structurally identical, not just relation-equivalent).
-  const std::vector<Atom>& facts = db.program().facts();
-  wire::PutU64(&out, static_cast<uint64_t>(facts.size()));
-  for (const Atom& fact : facts) PutAtom(&out, fact);
+  // The fact-list slot, empty (see the layout above).
+  wire::PutU64(&out, 0);
 
   // Finiteness declarations, in pred order for determinism.
   std::map<PredId, std::vector<std::string>> modes(
@@ -301,15 +300,15 @@ Status DecodeSnapshotPayload(std::string_view payload, Database* db,
     program.AddRule(std::move(rule));
   }
 
-  // Program-level facts.
+  // The fact list of an older build: validated, then dropped, since
+  // the relations section below holds the same rows in insertion order.
   uint64_t num_facts = 0;
   if (!in.ReadU64(&num_facts)) return CorruptError("missing fact count");
+  Atom fact;
   for (uint64_t i = 0; i < num_facts; ++i) {
-    Atom fact;
     if (!ReadAtom(&in, num_preds, num_terms, &fact)) {
       return CorruptError("truncated fact");
     }
-    program.AddFact(std::move(fact));
   }
 
   // Finiteness declarations.
@@ -475,11 +474,14 @@ std::vector<SnapshotFile> ListSnapshots(const std::string& dir) {
 }
 
 StatusOr<uint64_t> LoadSnapshotFile(const std::string& path, Database* db) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError(StrCat("cannot open snapshot ", path));
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
+  StatusOr<std::string> read = ReadFileToString(path);
+  if (!read.ok()) {
+    // Unreadable is reported like corrupt, never as Internal: nothing
+    // was touched yet, so the caller may fall back to an older file.
+    return NotFoundError(
+        StrCat("snapshot ", path, ": ", read.status().message()));
+  }
+  const std::string& file = *read;
 
   if (file.size() < sizeof(kMagic) + 12 ||
       memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {

@@ -5,11 +5,11 @@
 #include <string.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <fstream>
 
 #include "common/strings.h"
 #include "storage/crc32.h"
@@ -28,19 +28,28 @@ Status ErrnoError(std::string_view what, std::string_view path) {
   return InternalError(StrCat(what, " ", path, ": ", strerror(errno)));
 }
 
-/// Full write, retrying short writes/EINTR. A short write that cannot
-/// be completed leaves a torn tail, which the caller must treat as a
-/// poisoned log.
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& path) {
-  size_t done = 0;
-  while (done < size) {
-    ssize_t n = ::write(fd, data + done, size - done);
+/// Full gathered write of `iov[0..count)`, retrying short writes and
+/// EINTR. A short write that cannot be completed leaves a torn tail,
+/// which the caller must treat as a poisoned log.
+Status WriteAllV(int fd, struct iovec* iov, int count,
+                 const std::string& path) {
+  while (count > 0) {
+    ssize_t n = ::writev(fd, iov, count);
     if (n < 0) {
       if (errno == EINTR) continue;
       return ErrnoError("write", path);
     }
-    done += static_cast<size_t>(n);
+    // Skip the buffers written whole, then advance into a partial one.
+    size_t done = static_cast<size_t>(n);
+    while (count > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
   return Status::Ok();
 }
@@ -167,15 +176,29 @@ StatusOr<uint64_t> Wal::Append(WalRecord record) {
   }
   if (fd_ < 0) return InternalError("wal is closed");
   record.lsn = next_lsn_;
-  const std::string payload = EncodeWalRecord(record);
 
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  wire::PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  wire::PutU32(&frame, Crc32(payload));
-  frame += payload;
+  // One frame, one writev: the length + CRC header, the payload's fixed
+  // fields, then the text straight from the caller's bytes. The CRC is
+  // chained over fields and text, so no payload or frame copy of the
+  // text is built (and an update's two small strings stay inline).
+  std::string fields;
+  AppendWalRecordHead(&fields, record);
+  const size_t payload_size = fields.size() + record.text.size();
+  if (payload_size > kMaxFrameBytes) {
+    // The scanner would take such a frame for a corrupt length field.
+    return InvalidArgumentError(StrCat("wal record of ", payload_size,
+                                       " bytes exceeds the ", kMaxFrameBytes,
+                                       "-byte frame limit"));
+  }
+  std::string header;
+  wire::PutU32(&header, static_cast<uint32_t>(payload_size));
+  wire::PutU32(&header, Crc32(record.text, Crc32(fields)));
 
-  Status status = WriteAll(fd_, frame.data(), frame.size(), dir_);
+  struct iovec iov[3] = {
+      {header.data(), header.size()},
+      {fields.data(), fields.size()},
+      {const_cast<char*>(record.text.data()), record.text.size()}};
+  Status status = WriteAllV(fd_, iov, 3, dir_);
   if (!status.ok()) {
     broken_ = true;
     return status;
@@ -183,7 +206,7 @@ StatusOr<uint64_t> Wal::Append(WalRecord record) {
   dirty_ = true;
   ++next_lsn_;
   ++stats_.records;
-  stats_.bytes += static_cast<int64_t>(frame.size());
+  stats_.bytes += static_cast<int64_t>(8 + payload_size);
   stats_.last_lsn = record.lsn;
   if (options_.sync == WalSyncPolicy::kAlways) {
     Status synced = SyncLocked();
@@ -287,11 +310,12 @@ std::vector<WalSegment> ListWalSegments(const std::string& dir) {
 Status ScanWalFile(const std::string& path,
                    const std::function<Status(WalRecord&&)>& fn,
                    WalScanStats* stats) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError(StrCat("cannot open wal segment ", path));
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
+  StatusOr<std::string> read = ReadFileToString(path);
+  if (!read.ok()) {
+    return Status(read.status().code(),
+                  StrCat("wal segment: ", read.status().message()));
+  }
+  const std::string& data = *read;
 
   size_t at = 0;
   while (at < data.size()) {

@@ -57,9 +57,10 @@ struct WalStats {
 /// Frame format (little-endian):
 ///   u32 payload_length | u32 crc32(payload) | payload
 ///
-/// Each Append writes one frame with a single write() to an O_APPEND
-/// fd, so a *process* crash never interleaves partial frames; an OS
-/// crash can leave a torn final frame, which the scanner tolerates by
+/// Each Append writes one frame with a single writev() to an O_APPEND
+/// fd (the header, the fixed fields and the caller's text, gathered),
+/// so a *process* crash never interleaves partial frames; an OS crash
+/// can leave a torn final frame, which the scanner tolerates by
 /// stopping at the last valid one. A new segment starts at every Open
 /// (so recovery never appends after a possibly-torn tail) and at every
 /// checkpoint rotation; segments fully covered by a durable snapshot
@@ -80,9 +81,10 @@ class Wal {
   Wal& operator=(const Wal&) = delete;
 
   /// Frames and appends `record` (its `lsn` field is assigned here),
-  /// applying the sync policy. Returns the assigned LSN. After a write
-  /// error the log is poisoned: every later Append fails too, so a
-  /// half-written frame is never followed by a valid one.
+  /// applying the sync policy. Returns the assigned LSN. The bytes that
+  /// `record.text` views are written as they are, uncopied. After a
+  /// write error the log is poisoned: every later Append fails too, so
+  /// a half-written frame is never followed by a valid one.
   StatusOr<uint64_t> Append(WalRecord record);
 
   /// Forces an fsync of the current segment (shutdown, checkpoints).
@@ -149,7 +151,8 @@ struct WalScanStats {
 };
 
 /// Reads every frame of one segment file in order, invoking `fn` per
-/// decoded record. Distinguishes the two failure shapes:
+/// decoded record. The record's views point into the segment bytes
+/// read for this scan and die with it: `fn` copies what it keeps. Distinguishes the two failure shapes:
 ///  * truncated tail (EOF inside a frame) — tolerated: scan stops at
 ///    the last valid frame, `stats->torn_tail` is set;
 ///  * CRC mismatch or undecodable payload with the frame's bytes fully

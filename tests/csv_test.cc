@@ -71,11 +71,39 @@ TEST(CsvTest, FailedLoadIsAllOrNothing) {
   EXPECT_EQ(rel->num_rows(), 1);                // only x,y
   EXPECT_EQ(rel->version(), version_before);    // no partial insert
 
+  // The rejected load staged nothing that a later load could pick up.
+  EXPECT_EQ(db.program().num_staged_facts(), 0);
+
   // Staging alone never mutates the relation.
-  auto staged = ParseCsvTuples(&db, e, "p,q\nr,s\n", CsvOptions());
+  auto staged = StageCsvFacts(&db.program(), e, "p,q\nr,s\n", CsvOptions());
   ASSERT_TRUE(staged.ok()) << staged.status();
-  EXPECT_EQ(staged->size(), 2u);
+  EXPECT_EQ(*staged, 2);
+  EXPECT_EQ(db.program().num_staged_facts(), 2);
   EXPECT_EQ(rel->num_rows(), 1);
+  // A failed staging drops only its own rows.
+  EXPECT_FALSE(StageCsvFacts(&db.program(), e, "t,u\nv\n").ok());
+  EXPECT_EQ(db.program().num_staged_facts(), 2);
+  int64_t loaded = 0;
+  ASSERT_TRUE(db.LoadProgramFacts(&loaded).ok());
+  EXPECT_EQ(loaded, 2);
+  EXPECT_EQ(rel->num_rows(), 3);
+  EXPECT_EQ(db.program().num_staged_facts(), 0);
+}
+
+TEST(CsvTest, IntegerFieldOutOfRangeIsAnError) {
+  Database db;
+  PredId e = db.program().InternPred("e", 2);
+  auto loaded = LoadFactsFromString(&db, e, "a,9223372036854775807\n"
+                                            "b,-9223372036854775808\n"
+                                            "c,9223372036854775808\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(),
+            "line 3: integer field '9223372036854775808' out of range");
+  EXPECT_EQ(db.GetRelation(e), nullptr);
+  ASSERT_TRUE(LoadFactsFromString(&db, e, "a,9223372036854775807\n"
+                                          "b,-9223372036854775808\n")
+                  .ok());
+  EXPECT_EQ(db.GetRelation(e)->num_rows(), 2);
 }
 
 TEST(CsvTest, CustomDelimiterAndCrlf) {

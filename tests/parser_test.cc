@@ -21,12 +21,31 @@ class ParserTest : public ::testing::Test {
 
 TEST_F(ParserTest, ParsesGroundFact) {
   ASSERT_TRUE(ParseProgram("parent(tom, bob).", &program_).ok());
-  ASSERT_EQ(program_.facts().size(), 1u);
+  ASSERT_EQ(program_.num_staged_facts(), 1);
   EXPECT_TRUE(program_.rules().empty());
-  const Atom& fact = program_.facts()[0];
-  EXPECT_EQ(program_.preds().name(fact.pred), "parent");
-  EXPECT_EQ(fact.args[0], pool_.MakeSymbol("tom"));
-  EXPECT_EQ(fact.args[1], pool_.MakeSymbol("bob"));
+  std::vector<Atom> facts;
+  program_.ForEachStagedFact([&](PredId pred, std::span<const TermId> args) {
+    facts.push_back(Atom{pred, {args.begin(), args.end()}});
+  });
+  ASSERT_EQ(facts.size(), 1u);
+  EXPECT_EQ(program_.preds().name(facts[0].pred), "parent");
+  EXPECT_EQ(facts[0].args,
+            (std::vector<TermId>{pool_.MakeSymbol("tom"),
+                                 pool_.MakeSymbol("bob")}));
+}
+
+TEST_F(ParserTest, StagedFactsAreReleasedAndRolledBack) {
+  ASSERT_TRUE(ParseProgram("p(a). q(b, c).", &program_).ok());
+  const Program::Marker marker = program_.Mark();
+  ASSERT_TRUE(ParseProgram("p(d). r(X) :- p(X).", &program_).ok());
+  EXPECT_EQ(program_.num_staged_facts(), 3);
+  program_.RollbackTo(marker);
+  EXPECT_EQ(program_.num_staged_facts(), 2);
+  EXPECT_TRUE(program_.rules().empty());
+  EXPECT_EQ(ProgramToString(program_), "p(a).\nq(b, c).\n");
+  program_.ReleaseStagedFacts();
+  EXPECT_EQ(program_.num_staged_facts(), 0);
+  EXPECT_EQ(ProgramToString(program_), "");
 }
 
 TEST_F(ParserTest, ParsesRuleWithBody) {
@@ -108,12 +127,12 @@ TEST_F(ParserTest, NegativeIntegerLiteral) {
 TEST_F(ParserTest, CompoundTermsInFacts) {
   // A ground compound argument is a constant: still a fact.
   ASSERT_TRUE(ParseProgram("likes(pair(a, b), tom).", &program_).ok());
-  EXPECT_EQ(program_.facts().size(), 1u);
+  EXPECT_EQ(program_.num_staged_facts(), 1);
 }
 
 TEST_F(ParserTest, NonGroundHeadBecomesRule) {
   ASSERT_TRUE(ParseProgram("append([], L, L).", &program_).ok());
-  EXPECT_TRUE(program_.facts().empty());
+  EXPECT_EQ(program_.num_staged_facts(), 0);
   ASSERT_EQ(program_.rules().size(), 1u);
   EXPECT_TRUE(program_.rules()[0].body.empty());
 }
@@ -127,7 +146,7 @@ p(b).
 )",
                            &program_)
                   .ok());
-  EXPECT_EQ(program_.facts().size(), 2u);
+  EXPECT_EQ(program_.num_staged_facts(), 2);
 }
 
 TEST_F(ParserTest, ErrorsCarryPosition) {
@@ -155,7 +174,7 @@ TEST_F(ParserTest, BadCharacterAfterValidClausesReportsItsPosition) {
   EXPECT_EQ(status.message(), "unexpected character '&' at 3:6");
   // The clauses before the bad character were parsed and kept; callers
   // that need all-or-nothing roll back (Program::Mark / RollbackTo).
-  EXPECT_EQ(program_.facts().size(), 1u);
+  EXPECT_EQ(program_.num_staged_facts(), 1);
   EXPECT_EQ(program_.rules().size(), 1u);
 }
 
@@ -238,7 +257,7 @@ insert(X, [Y|Ys], [X, Y|Ys]) :- X =< Y.
                            &program_)
                   .ok());
   // isort([], []) is ground -> fact; the rest are rules.
-  EXPECT_EQ(program_.facts().size(), 1u);
+  EXPECT_EQ(program_.num_staged_facts(), 1);
   EXPECT_EQ(program_.rules().size(), 4u);
 }
 

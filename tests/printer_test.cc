@@ -53,7 +53,7 @@ tc(X, Y) :- e(X, Z), tc(Z, Y).
   TermPool pool2;
   Program reparsed(&pool2);
   ASSERT_TRUE(ParseProgram(printed, &reparsed).ok());
-  EXPECT_EQ(reparsed.facts().size(), program_.facts().size());
+  EXPECT_EQ(reparsed.num_staged_facts(), program_.num_staged_facts());
   EXPECT_EQ(reparsed.rules().size(), program_.rules().size());
   EXPECT_EQ(reparsed.queries().size(), program_.queries().size());
   // And printing again is a fixpoint.

@@ -54,6 +54,32 @@ TEST(RelationTest, MultiColumnProbe) {
   EXPECT_EQ(rel.Probe({1, 2}, {2, 4}).size(), 1u);
 }
 
+TEST(RelationTest, FullKeyProbeIsADedupLookupNotAnIndex) {
+  Relation rel(2);
+  for (TermId i = 0; i < 100; ++i) rel.Insert({i % 10, i});
+  ASSERT_EQ(rel.telemetry().posting_blocks, 0);
+  const int64_t probes = rel.telemetry().probes;
+
+  std::vector<int64_t> hit(rel.Probe({0, 1}, {2, 42}).begin(),
+                           rel.Probe({0, 1}, {2, 42}).end());
+  EXPECT_EQ(hit, std::vector<int64_t>{42});
+  EXPECT_TRUE(rel.Probe({0, 1}, {3, 42}).empty());
+  std::vector<int64_t> each;
+  Tuple key = {7, 17};
+  rel.ProbeEach({0, 1}, key.data(), [&](int64_t j) { each.push_back(j); });
+  EXPECT_EQ(each, std::vector<int64_t>{17});
+  Tuple missing = {7, 18};
+  rel.ProbeEach({0, 1}, missing.data(), [&](int64_t j) { each.push_back(j); });
+  EXPECT_EQ(each.size(), 1u);
+  rel.EnsureIndex({0, 1});
+
+  EXPECT_EQ(rel.telemetry().probes, probes + 5);
+  EXPECT_EQ(rel.telemetry().posting_blocks, 0);  // no index was built
+  // A partial key still builds (and uses) its index.
+  EXPECT_EQ(rel.Probe({0}, {2}).size(), 10u);
+  EXPECT_GT(rel.telemetry().posting_blocks, 0);
+}
+
 TEST(RelationTest, SeveralIndexesCoexist) {
   Relation rel(2);
   for (TermId i = 0; i < 100; ++i) rel.Insert({i % 10, i});
@@ -222,6 +248,7 @@ TEST(RelationTest, ConcurrentLazyIndexBuildsArePublicationSafe) {
   for (TermId v = 0; v < 37; ++v) expected0[v] = count_matching(0, v);
   for (TermId v = 0; v < 111; ++v) expected1[v] = count_matching(1, v);
 
+  // Full-key probes read the dedup table beside the index builds.
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -236,6 +263,14 @@ TEST(RelationTest, ConcurrentLazyIndexBuildsArePublicationSafe) {
         const int64_t expected =
             column == 0 ? expected0[value] : expected1[value];
         if (hits != expected) mismatches.fetch_add(1);
+
+        const TermId i = static_cast<TermId>((t * 701 + round * 37) % 3000);
+        Tuple full = {i % 37, i % 111};  // a stored row
+        int64_t row_id = -1;
+        rel.ProbeEach({0, 1}, full.data(), [&](int64_t j) { row_id = j; });
+        if (row_id < 0 || rel.row(row_id) != full) mismatches.fetch_add(1);
+        Tuple absent = {i % 37, 111 + i};
+        if (!rel.Probe({0, 1}, absent).empty()) mismatches.fetch_add(1);
       }
     });
   }
@@ -308,7 +343,8 @@ class OracleRelation {
 
 TEST(RelationTest, RandomizedDifferentialAgainstOracle) {
   std::mt19937 rng(20260805);
-  const std::vector<std::vector<int>> column_sets = {{0}, {1}, {2}, {0, 2}};
+  const std::vector<std::vector<int>> column_sets = {
+      {0}, {1}, {2}, {0, 2}, {0, 1, 2}};
   for (int round = 0; round < 4; ++round) {
     Relation rel(3);
     OracleRelation oracle(3);
@@ -322,7 +358,8 @@ TEST(RelationTest, RandomizedDifferentialAgainstOracle) {
       } else if (o < 75) {
         ASSERT_EQ(rel.Contains(t), oracle.Contains(t)) << "step " << step;
       } else if (o < 99) {
-        const auto& columns = column_sets[static_cast<size_t>(o) % 4];
+        const auto& columns =
+            column_sets[static_cast<size_t>(o) % column_sets.size()];
         Tuple key;
         for (size_t k = 0; k < columns.size(); ++k) key.push_back(value(rng));
         std::vector<int64_t> got(rel.Probe(columns, key).begin(),

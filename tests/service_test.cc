@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -151,13 +153,13 @@ TEST(ServiceTest, FailedUpdateLeavesNoIndexedFactBehind) {
       "sibling(a, b). parent(c, a). sg(e, f). parent(d, b).\n");
   ASSERT_TRUE(seeded.status.ok()) << seeded.status;
   const Program& program = service.db().program();
-  const size_t facts = program.facts().size();
+  EXPECT_EQ(program.num_staged_facts(), 0);
 
-  // The parser appends sg(x, y) before it reaches the error.
+  // The parser stages sg(x, y) before it reaches the error.
   UpdateResponse failed =
       service.Update("sibling(x, z). sg(x, y). p(a) q(b).");
   EXPECT_FALSE(failed.status.ok());
-  EXPECT_EQ(program.facts().size(), facts);
+  EXPECT_EQ(program.num_staged_facts(), 0);
   QueryResponse none = service.Query("?- sg(x, Y).");
   ASSERT_TRUE(none.status.ok()) << none.status;
   EXPECT_EQ(Flatten(none), "");
@@ -180,7 +182,7 @@ TEST(ServiceTest, BadCharacterAfterValidClausesChangesNothing) {
     ASSERT_TRUE(service.EnableDurability(options).ok());
     SeedChain(&service, 5);
     const Program& program = service.db().program();
-    const size_t facts = program.facts().size();
+    EXPECT_EQ(program.num_staged_facts(), 0);
     const size_t rules = program.rules().size();
     const uint64_t epoch = service.rules_epoch();
     const Relation* edge =
@@ -195,13 +197,76 @@ TEST(ServiceTest, BadCharacterAfterValidClausesChangesNothing) {
         "edge(a5, a6).\nedge(a6, a7).\nr(X) :- edge(X, a7).\nedge(a7, $).\n");
     EXPECT_EQ(failed.status.code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(failed.status.message(), "unexpected character '$' at 4:10");
-    EXPECT_EQ(program.facts().size(), facts);
+    EXPECT_EQ(program.num_staged_facts(), 0);
     EXPECT_EQ(program.rules().size(), rules);
     EXPECT_EQ(service.rules_epoch(), epoch);
     EXPECT_EQ(edge->num_rows(), rows);
     EXPECT_EQ(service.durability_stats().wal_records, wal.wal_records);
     EXPECT_EQ(service.durability_stats().wal_bytes, wal.wal_bytes);
     EXPECT_EQ(Flatten(service.Query("?- tc(a0, Y).")), before);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceTest, PoisonedWalUpdateChangesNothing) {
+  const std::string dir = StrCat(::testing::TempDir(), "cs_service_poison_",
+                                 ::getpid());
+  std::filesystem::remove_all(dir);
+  std::string before;
+  {
+    QueryService service;
+    DurabilityOptions options;
+    options.data_dir = dir;
+    options.wal.sync = WalSyncPolicy::kNone;
+    ASSERT_TRUE(service.EnableDurability(options).ok());
+    SeedChain(&service, 5);
+    const Program& program = service.db().program();
+    const Relation* edge =
+        service.db().GetRelation(*program.preds().Find("edge", 2));
+    ASSERT_NE(edge, nullptr);
+    const int64_t rows = edge->num_rows();
+    const size_t rules = program.rules().size();
+    const DurabilityStats wal = service.durability_stats();
+    before = Flatten(service.Query("?- tc(a0, Y)."));
+    std::vector<WalSegment> segments = ListWalSegments(dir);
+    ASSERT_EQ(segments.size(), 1u);
+    const uintmax_t segment_bytes =
+        std::filesystem::file_size(segments[0].path);
+
+    // Cap this process's file size at the segment's: the next append
+    // fails with EFBIG before writing a byte and poisons the log.
+    struct rlimit saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    void (*saved_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit capped = saved;
+    capped.rlim_cur = static_cast<rlim_t>(segment_bytes);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    UpdateResponse failed =
+        service.Update("edge(a5, a6).\nr(X) :- edge(X, a6).\n");
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, saved_handler);
+
+    EXPECT_EQ(failed.status.code(), StatusCode::kInternal);
+    EXPECT_TRUE(StartsWith(failed.status.message(), "write ")) << failed.status;
+    EXPECT_EQ(program.num_staged_facts(), 0);
+    EXPECT_EQ(program.rules().size(), rules);
+    EXPECT_EQ(edge->num_rows(), rows);
+    EXPECT_EQ(service.durability_stats().wal_records, wal.wal_records);
+    EXPECT_EQ(service.durability_stats().wal_bytes, wal.wal_bytes);
+    EXPECT_EQ(std::filesystem::file_size(segments[0].path), segment_bytes);
+    EXPECT_EQ(Flatten(service.Query("?- tc(a0, Y).")), before);
+    // The log stays poisoned: a later update fails the same way.
+    EXPECT_FALSE(service.Update("edge(a5, a6).").status.ok());
+    EXPECT_EQ(program.num_staged_facts(), 0);
+    EXPECT_EQ(edge->num_rows(), rows);
+  }
+  {
+    QueryService recovered;
+    DurabilityOptions options;
+    options.data_dir = dir;
+    options.wal.sync = WalSyncPolicy::kNone;
+    ASSERT_TRUE(recovered.EnableDurability(options).ok());
+    EXPECT_EQ(Flatten(recovered.Query("?- tc(a0, Y).")), before);
   }
   std::filesystem::remove_all(dir);
 }

@@ -98,7 +98,9 @@ TEST(WalRecordTest, UpdateRoundtrip) {
   record.lsn = 42;
   record.type = WalRecordType::kUpdate;
   record.text = "p(a, b).\nq(X) :- p(X, _).\n";
-  StatusOr<WalRecord> decoded = DecodeWalRecord(EncodeWalRecord(record));
+  // The decoded record views the payload, which must outlive it.
+  const std::string payload = EncodeWalRecord(record);
+  StatusOr<WalRecord> decoded = DecodeWalRecord(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->lsn, 42u);
   EXPECT_EQ(decoded->type, WalRecordType::kUpdate);
@@ -113,7 +115,9 @@ TEST(WalRecordTest, CsvRoundtrip) {
   record.pred_name = "edge";
   record.arity = 2;
   record.delimiter = '|';
-  StatusOr<WalRecord> decoded = DecodeWalRecord(EncodeWalRecord(record));
+  // The decoded record views the payload, which must outlive it.
+  const std::string payload = EncodeWalRecord(record);
+  StatusOr<WalRecord> decoded = DecodeWalRecord(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->type, WalRecordType::kCsvLoad);
   EXPECT_EQ(decoded->text, record.text);
@@ -146,16 +150,23 @@ TEST(WalPolicyTest, LsnHexIsSortable) {
   EXPECT_LT(LsnToHex(99), LsnToHex(256));
 }
 
-std::vector<WalRecord> ScanAll(const std::string& dir, WalScanStats* stats,
-                               Status* status) {
-  std::vector<WalRecord> records;
+/// A scanned record with its text copied: the record's own view dies
+/// with the scan.
+struct ScannedRecord {
+  uint64_t lsn = 0;
+  std::string text;
+};
+
+std::vector<ScannedRecord> ScanAll(const std::string& dir,
+                                   WalScanStats* stats, Status* status) {
+  std::vector<ScannedRecord> records;
   *status = Status::Ok();
   for (const WalSegment& segment : ListWalSegments(dir)) {
     WalScanStats one;
     *status = ScanWalFile(
         segment.path,
         [&](WalRecord&& record) -> Status {
-          records.push_back(std::move(record));
+          records.push_back({record.lsn, std::string(record.text)});
           return Status::Ok();
         },
         &one);
@@ -177,7 +188,8 @@ TEST_F(WalTest, AppendScanRoundtrip) {
     for (int i = 0; i < 5; ++i) {
       WalRecord record;
       record.type = WalRecordType::kUpdate;
-      record.text = StrCat("p(a", i, ").");
+      const std::string text = StrCat("p(a", i, ").");
+      record.text = text;
       StatusOr<uint64_t> lsn = (*wal)->Append(std::move(record));
       ASSERT_TRUE(lsn.ok()) << lsn.status();
       EXPECT_EQ(*lsn, static_cast<uint64_t>(i + 1));
@@ -187,7 +199,7 @@ TEST_F(WalTest, AppendScanRoundtrip) {
   }
   WalScanStats stats;
   Status status;
-  std::vector<WalRecord> records = ScanAll(dir_, &stats, &status);
+  std::vector<ScannedRecord> records = ScanAll(dir_, &stats, &status);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_FALSE(stats.torn_tail);
   ASSERT_EQ(records.size(), 5u);
@@ -195,6 +207,49 @@ TEST_F(WalTest, AppendScanRoundtrip) {
     EXPECT_EQ(records[i].lsn, static_cast<uint64_t>(i + 1));
     EXPECT_EQ(records[i].text, StrCat("p(a", i, ")."));
   }
+}
+
+TEST_F(WalTest, AppendedFramesAreTheEncodedPayloadFramed) {
+  // Append gathers header, fixed fields and text into one writev; the
+  // bytes on disk must be exactly u32 len | u32 crc | EncodeWalRecord,
+  // the frame layout recovery reads (and older builds wrote).
+  const std::string update_text = "edge(a, b).\ntc(X, Y) :- edge(X, Y).\n";
+  std::string csv_text;
+  for (int i = 0; i < 20000; ++i) csv_text += StrCat("n", i, "|n", i + 1, "\n");
+  WalRecord update;
+  update.type = WalRecordType::kUpdate;
+  update.text = update_text;
+  WalRecord csv;
+  csv.type = WalRecordType::kCsvLoad;
+  csv.text = csv_text;
+  csv.pred_name = "edge";
+  csv.arity = 2;
+  csv.delimiter = '|';
+  WalRecord empty;
+  empty.type = WalRecordType::kUpdate;
+  {
+    StatusOr<std::unique_ptr<Wal>> wal =
+        Wal::Open(dir_, 7, {WalSyncPolicy::kNone, 0});
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    EXPECT_EQ(*(*wal)->Append(update), 7u);
+    EXPECT_EQ(*(*wal)->Append(csv), 8u);
+    EXPECT_EQ(*(*wal)->Append(empty), 9u);
+  }
+  update.lsn = 7;
+  csv.lsn = 8;
+  empty.lsn = 9;
+  auto frame = [](const WalRecord& record) {
+    const std::string payload = EncodeWalRecord(record);
+    std::string out;
+    wire::PutU32(&out, static_cast<uint32_t>(payload.size()));
+    wire::PutU32(&out, Crc32(payload));
+    return out + payload;
+  };
+  std::vector<WalSegment> segments = ListWalSegments(dir_);
+  ASSERT_EQ(segments.size(), 1u);
+  StatusOr<std::string> file = ReadFileToString(segments[0].path);
+  ASSERT_TRUE(file.ok()) << file.status();
+  EXPECT_TRUE(*file == frame(update) + frame(csv) + frame(empty));
 }
 
 TEST_F(WalTest, ReopenStartsFreshSegmentAndKeepsLsnSequence) {
@@ -206,14 +261,15 @@ TEST_F(WalTest, ReopenStartsFreshSegmentAndKeepsLsnSequence) {
     for (int i = 0; i < 2; ++i) {
       WalRecord record;
       record.type = WalRecordType::kUpdate;
-      record.text = StrCat("r", run, "i", i, ".");
+      const std::string text = StrCat("r", run, "i", i, ".");
+      record.text = text;
       ASSERT_TRUE((*wal)->Append(std::move(record)).ok());
     }
   }
   EXPECT_EQ(ListWalSegments(dir_).size(), 3u);
   WalScanStats stats;
   Status status;
-  std::vector<WalRecord> records = ScanAll(dir_, &stats, &status);
+  std::vector<ScannedRecord> records = ScanAll(dir_, &stats, &status);
   ASSERT_TRUE(status.ok()) << status;
   ASSERT_EQ(records.size(), 6u);
   for (size_t i = 0; i < records.size(); ++i) {
@@ -229,7 +285,8 @@ TEST_F(WalTest, TornTailIsToleratedAtEveryCut) {
     for (int i = 0; i < 3; ++i) {
       WalRecord record;
       record.type = WalRecordType::kUpdate;
-      record.text = StrCat("fact_number_", i, "(with_some_payload).");
+      const std::string text = StrCat("fact_number_", i, "(with_some_payload).");
+      record.text = text;
       ASSERT_TRUE((*wal)->Append(std::move(record)).ok());
     }
   }
@@ -277,7 +334,8 @@ TEST_F(WalTest, BitFlipMidLogIsAHardError) {
     for (int i = 0; i < 3; ++i) {
       WalRecord record;
       record.type = WalRecordType::kUpdate;
-      record.text = StrCat("stable_payload_", i, "(a, b, c).");
+      const std::string text = StrCat("stable_payload_", i, "(a, b, c).");
+      record.text = text;
       ASSERT_TRUE((*wal)->Append(std::move(record)).ok());
     }
   }
@@ -319,7 +377,8 @@ TEST_F(WalTest, RotateAndDeleteSegmentsBelow) {
   for (int i = 0; i < 4; ++i) {
     WalRecord record;
     record.type = WalRecordType::kUpdate;
-    record.text = StrCat("p(", i, ").");
+    const std::string text = StrCat("p(", i, ").");
+    record.text = text;
     ASSERT_TRUE((*wal)->Append(std::move(record)).ok());
   }
   ASSERT_TRUE((*wal)->Rotate().ok());  // seals lsns 1..4

@@ -50,6 +50,24 @@ TEST_F(TopDownTest, SolvesEdbFacts) {
   EXPECT_EQ(rows.size(), 2u);
 }
 
+TEST_F(TopDownTest, GroundGoalMatchesItsFactRowOnce) {
+  // A goal bound on every argument probes its relation on the full key:
+  // one dedup-table lookup, one matching row, no index built.
+  Load("e(a, b). e(b, a). e(a, c). e(b, b).");
+  auto rows = Ask("?- e(a, b).");
+  EXPECT_EQ(rows.size(), 1u);
+  EXPECT_EQ(last_stats_.solutions, 1);
+  EXPECT_TRUE(Ask("?- e(c, a).").empty());
+  EXPECT_EQ(last_stats_.solutions, 0);
+  // Bound by the first goal, e(Y, X) is ground when selected.
+  rows = Ask("?- e(X, Y), e(Y, X).");
+  EXPECT_EQ(rows.size(), 3u);  // (a, b), (b, a), (b, b)
+  EXPECT_EQ(last_stats_.solutions, 3);
+  const Relation* e =
+      db_.GetRelation(*db_.program().preds().Find("e", 2));
+  EXPECT_EQ(e->telemetry().posting_blocks, 0);
+}
+
 TEST_F(TopDownTest, SolvesConjunction) {
   Load("e(a, b). e(b, c). e(b, d).");
   auto rows = Ask("?- e(a, Y), e(Y, Z).");
