@@ -184,32 +184,38 @@ StatusOr<CompiledRule> CompileRule(const Program& program, const Rule& rule,
 namespace {
 
 /// One bottom-up evaluation of a compiled rule: backtracking join over
-/// the scheduled literal order, carrying slot values.
+/// the scheduled literal order, carrying slot values. The join steps
+/// return false to unwind after an error, which is kept in `error_`, so
+/// the per-tuple path carries no Status.
 class RuleRun {
  public:
-  RuleRun(TermPool& pool, const PredicateTable& preds,
-          const CompiledRule& rule, const RelationLookup& rel_for,
-          int delta_literal, const Relation* delta, Relation* out,
-          EvalCounters* counters)
-      : pool_(pool),
-        preds_(preds),
+  RuleRun(EvalDb* db, const CompiledRule& rule, int delta_literal,
+          RowRange delta, std::vector<TermId>* out, EvalCounters* counters)
+      : pool_(db->pool()),
+        preds_(db->program().preds()),
         rule_(rule),
-        rel_for_(rel_for),
         delta_literal_(delta_literal),
         delta_(delta),
         out_(out),
         counters_(counters),
         slots_(rule.slot_vars.size(), kNullTerm),
-        probe_scratch_(rule.order.size()) {}
+        probe_scratch_(rule.order.size()) {
+    for (const CompiledLiteral& lit : rule.body) {
+      rels_.push_back(db->GetRelation(lit.pred));
+    }
+  }
 
-  Status Run() { return Recurse(0); }
+  Status Run() {
+    Recurse(0);
+    return std::move(error_);
+  }
 
  private:
   TermId ArgValue(const ArgPattern& p) const {
     return p.is_slot ? slots_[p.slot] : p.constant;
   }
 
-  Status Recurse(size_t pos) {
+  bool Recurse(size_t pos) {
     if (pos == rule_.order.size()) return EmitHead();
     const int lit_index = rule_.order[pos];
     const CompiledLiteral& lit = rule_.body[lit_index];
@@ -219,20 +225,17 @@ class RuleRun {
     return EvalRelationLiteral(pos, lit_index, lit);
   }
 
-  Status EmitHead() {
-    Tuple tuple;
-    tuple.reserve(rule_.head_args.size());
+  bool EmitHead() {
     for (const ArgPattern& p : rule_.head_args) {
       TermId v = ArgValue(p);
       CS_DCHECK(v != kNullTerm) << "unbound head slot at emission";
-      tuple.push_back(v);
+      out_->push_back(v);
     }
     ++counters_->derivations;
-    if (out_->Insert(tuple)) ++counters_->inserted;
-    return Status::Ok();
+    return true;
   }
 
-  Status EvalBuiltinLiteral(size_t pos, const CompiledLiteral& lit) {
+  bool EvalBuiltinLiteral(size_t pos, const CompiledLiteral& lit) {
     ++counters_->builtin_calls;
     // Bound arguments are passed as their ground values; unbound ones as
     // the rule's variable terms, whose bindings we read back.
@@ -250,31 +253,35 @@ class RuleRun {
     }
     Substitution subst;
     bool ok = false;
-    CS_RETURN_IF_ERROR(
-        EvalBuiltin(pool_, preds_, lit.pred, args, &subst, &ok));
-    if (!ok) return Status::Ok();
+    error_ = EvalBuiltin(pool_, preds_, lit.pred, args, &subst, &ok);
+    if (!error_.ok()) return false;
+    if (!ok) return true;
     std::vector<int> bound_here;
     for (int slot : unbound_slots) {
       if (slots_[slot] != kNullTerm) continue;  // repeated variable
       TermId value = subst.Resolve(rule_.slot_vars[slot], pool_);
       if (!pool_.IsGround(value)) {
-        return NotFinitelyEvaluableError(
+        error_ = NotFinitelyEvaluableError(
             StrCat("builtin ", preds_.Display(lit.pred),
                    " produced a non-ground value bottom-up"));
+        return false;
       }
       slots_[slot] = value;
       bound_here.push_back(slot);
     }
-    Status status = Recurse(pos + 1);
+    const bool more = Recurse(pos + 1);
     for (int slot : bound_here) slots_[slot] = kNullTerm;
-    return status;
+    return more;
   }
 
-  Status EvalRelationLiteral(size_t pos, int lit_index,
-                             const CompiledLiteral& lit) {
-    const Relation* rel =
-        lit_index == delta_literal_ ? delta_ : rel_for_(lit.pred);
-    if (rel == nullptr || rel->empty()) return Status::Ok();
+  bool EvalRelationLiteral(size_t pos, int lit_index,
+                           const CompiledLiteral& lit) {
+    const Relation* rel = rels_[lit_index];
+    if (rel == nullptr) return true;
+    const bool is_delta = lit_index == delta_literal_;
+    const RowRange range = is_delta ? delta_ : RowRange{0, rel->num_rows()};
+    CS_DCHECK(range.end <= rel->num_rows()) << "delta beyond relation";
+    if (range.empty()) return true;
 
     // Probe on the bound columns when there are any. The scratch
     // buffers are per recursion depth, so nested literals reuse their
@@ -290,7 +297,7 @@ class RuleRun {
       }
     }
 
-    auto try_row = [&](Relation::Row row) -> Status {
+    auto try_row = [&](Relation::Row row) -> bool {
       ++counters_->tuples_considered;
       std::vector<int>& bound_here = probe_scratch_[pos].bound_slots;
       bound_here.clear();
@@ -308,26 +315,26 @@ class RuleRun {
           bound_here.push_back(p.slot);
         }
       }
-      Status status = match ? Recurse(pos + 1) : Status::Ok();
+      const bool more = !match || Recurse(pos + 1);
       for (int slot : probe_scratch_[pos].bound_slots) {
         slots_[slot] = kNullTerm;
       }
-      return status;
+      return more;
     };
 
-    if (scratch.columns.empty()) {
-      for (int64_t i = 0; i < rel->num_rows(); ++i) {
-        CS_RETURN_IF_ERROR(try_row(rel->row(i)));
+    // A delta range has no index of its own: it is scanned, and
+    // try_row filters on whatever is bound.
+    if (scratch.columns.empty() || is_delta) {
+      for (int64_t i = range.begin; i < range.end; ++i) {
+        if (!try_row(rel->row(i))) return false;
       }
-    } else {
-      Status status = Status::Ok();
-      rel->ProbeEach(scratch.columns, scratch.key.data(), [&](int64_t i) {
-        if (!status.ok()) return;
-        status = try_row(rel->row(i));
-      });
-      CS_RETURN_IF_ERROR(status);
+      return true;
     }
-    return Status::Ok();
+    bool more = true;
+    rel->ProbeEach(scratch.columns, scratch.key.data(), [&](int64_t i) {
+      if (more) more = try_row(rel->row(i));
+    });
+    return more;
   }
 
   /// Reusable probe buffers, one set per scheduled literal position so
@@ -341,24 +348,22 @@ class RuleRun {
   TermPool& pool_;
   const PredicateTable& preds_;
   const CompiledRule& rule_;
-  const RelationLookup& rel_for_;
   int delta_literal_;
-  const Relation* delta_;
-  Relation* out_;
+  RowRange delta_;
+  std::vector<TermId>* out_;
   EvalCounters* counters_;
+  std::vector<const Relation*> rels_;  // per body literal; null = none
   std::vector<TermId> slots_;
   std::vector<ProbeScratch> probe_scratch_;
+  Status error_;
 };
 
 }  // namespace
 
-Status EvaluateRule(TermPool& pool, const PredicateTable& preds,
-                    const CompiledRule& rule, const RelationLookup& rel_for,
-                    int delta_literal, const Relation* delta, Relation* out,
+Status EvaluateRule(EvalDb* db, const CompiledRule& rule, int delta_literal,
+                    RowRange delta, std::vector<TermId>* out,
                     EvalCounters* counters) {
-  RuleRun run(pool, preds, rule, rel_for, delta_literal, delta, out,
-              counters);
-  return run.Run();
+  return RuleRun(db, rule, delta_literal, delta, out, counters).Run();
 }
 
 }  // namespace chainsplit

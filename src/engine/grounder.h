@@ -7,6 +7,7 @@
 #include "ast/ast.h"
 #include "common/status.h"
 #include "engine/builtins.h"
+#include "rel/catalog.h"
 #include "rel/relation.h"
 
 namespace chainsplit {
@@ -47,9 +48,6 @@ struct CompiledRule {
   std::vector<TermId> slot_vars;         // slot -> variable term
 };
 
-/// Resolves a predicate to its current relation (nullptr = empty).
-using RelationLookup = std::function<const Relation*(PredId)>;
-
 /// Estimates the tuples produced per binding when evaluating a
 /// predicate under an adornment (its join expansion ratio, §2.1).
 /// Plugged in by the planner from catalog statistics; the scheduler
@@ -64,7 +62,7 @@ struct EvalCounters {
   int64_t tuples_considered = 0;  // relation tuples scanned or probed
   int64_t builtin_calls = 0;
   int64_t derivations = 0;        // head instantiations produced
-  int64_t inserted = 0;           // new tuples after dedup
+  int64_t inserted = 0;           // new head tuples, counted at drain
 
   void Add(const EvalCounters& o) {
     tuples_considered += o.tuples_considered;
@@ -84,15 +82,21 @@ StatusOr<CompiledRule> CompileRule(const Program& program, const Rule& rule,
                                    const CardinalityEstimator& estimator =
                                        nullptr);
 
-/// Evaluates `rule` once against the relations provided by `rel_for`,
-/// inserting derived head tuples into `*out`.
-///
-/// When `delta_literal` >= 0, that body literal reads from `*delta`
-/// instead of its full relation (the semi-naive substitution). `pool`
-/// may grow (builtins intern new terms).
-Status EvaluateRule(TermPool& pool, const PredicateTable& preds,
-                    const CompiledRule& rule, const RelationLookup& rel_for,
-                    int delta_literal, const Relation* delta, Relation* out,
+/// Rows [begin, end) of a relation. Rows are append-only with stable
+/// ids, so a semi-naive delta is the rows its relation gained last round.
+struct RowRange {
+  int64_t begin = 0;
+  int64_t end = 0;
+  bool empty() const { return begin >= end; }
+};
+
+/// Evaluates `rule` once against the relations of `*db`, appending each
+/// derivation's head values to `*out` (duplicates included) and
+/// inserting into no relation. When `delta_literal` >= 0, that body
+/// literal reads only the rows `delta` of its relation (the semi-naive
+/// substitution). The pool may grow (builtins intern new terms).
+Status EvaluateRule(EvalDb* db, const CompiledRule& rule, int delta_literal,
+                    RowRange delta, std::vector<TermId>* out,
                     EvalCounters* counters);
 
 }  // namespace chainsplit

@@ -17,28 +17,34 @@ struct RuleVariants {
   std::vector<CompiledRule> delta_form;  // parallel to idb_literals
 };
 
-/// Running sum of Relation telemetry counters.
-struct TelemetrySum {
-  int64_t probes = 0;
-  int64_t collisions = 0;
-  int64_t arena = 0;
-
-  void Add(const Relation& rel) {
-    Relation::Telemetry t = rel.telemetry();
-    probes += t.probes;
-    collisions += t.hash_collisions;
-    arena += t.arena_bytes;
-  }
-};
-
-/// Sums telemetry over every stored relation of `db`.
-TelemetrySum DatabaseTelemetry(const EvalDb& db) {
-  TelemetrySum sum;
+/// Sums the telemetry counters of every stored relation of `db`.
+StorageStats DatabaseTelemetry(const EvalDb& db) {
+  StorageStats sum;
   for (PredId pred : db.StoredPredicates()) {
     const Relation* rel = db.GetRelation(pred);
-    if (rel != nullptr) sum.Add(*rel);
+    if (rel == nullptr) continue;
+    const Relation::Telemetry t = rel->telemetry();
+    sum.probes += t.probes;
+    sum.hash_collisions += t.hash_collisions;
+    sum.arena_bytes += t.arena_bytes;
   }
   return sum;
+}
+
+/// Inserts the `n` head rows that rule runs appended to `*emitted` into
+/// the head's relation, counting the new ones, and empties the buffer.
+/// `n` is the runs' derivation count: a 0-ary head appends no values.
+void Drain(EvalDb* db, PredId head, int64_t n, std::vector<TermId>* emitted,
+           SemiNaiveStats* stats) {
+  Relation* total = db->GetOrCreateRelation(head);
+  const int arity = total->arity();
+  for (int64_t i = 0; i < n; ++i) {
+    if (total->Insert(Relation::Row(emitted->data() + i * arity, arity))) {
+      ++stats->total_derived;
+      ++stats->counters.inserted;
+    }
+  }
+  emitted->clear();
 }
 
 }  // namespace
@@ -51,10 +57,8 @@ Status SemiNaiveEvaluate(EvalDb* db, const std::vector<Rule>& rules,
 
   // Storage-telemetry baseline: relation counters are cumulative over
   // each relation's lifetime, so report deltas against the state at
-  // entry. Scratch and delta relations are created below and folded in
-  // as they are consumed.
-  const TelemetrySum db_before = DatabaseTelemetry(*db);
-  TelemetrySum scratch_sum;
+  // entry.
+  const StorageStats db_before = DatabaseTelemetry(*db);
 
   std::unordered_set<PredId> idb;
   for (const Rule& rule : rules) idb.insert(rule.head.pred);
@@ -77,52 +81,54 @@ Status SemiNaiveEvaluate(EvalDb* db, const std::vector<Rule>& rules,
     compiled.push_back(std::move(variants));
   }
 
-  RelationLookup rel_for = [db](PredId pred) -> const Relation* {
-    return db->GetRelation(pred);
+  // Each IDB predicate's delta: the rows its relation gained in the
+  // previous round. Ranges are fixed for a whole round, and a rule run
+  // inserts nothing (its head rows wait in `emitted` until the run is
+  // over), so no relation grows while a run reads it.
+  std::unordered_map<PredId, RowRange> delta;
+  for (PredId pred : idb) delta.emplace(pred, RowRange{});
+  auto advance_deltas = [&] {
+    int64_t rows = 0;
+    for (auto& [pred, range] : delta) {
+      const Relation* rel = db->GetRelation(pred);
+      range = RowRange{range.end, rel == nullptr ? 0 : rel->num_rows()};
+      rows += range.end - range.begin;
+    }
+    return rows;
+  };
+  // Head rows of the current rule, drained after each rule.
+  std::vector<TermId> emitted;
+
+  // Every round's span carries the work it did: tuples derived and the
+  // join counters, as deltas.
+  auto record_work = [&](TraceSpan* span, int64_t derived_before,
+                         const EvalCounters& counters_before) {
+    span->Attr("derived", stats->total_derived - derived_before);
+    span->Attr("tuples_considered", stats->counters.tuples_considered -
+                                        counters_before.tuples_considered);
+    span->Attr("derivations",
+               stats->counters.derivations - counters_before.derivations);
   };
 
-  // Per-IDB-predicate delta relations. After the initialization round a
-  // predicate's delta is everything it currently contains (pre-seeded
-  // tuples included: downstream rules have never consumed them).
-  std::unordered_map<PredId, Relation> delta;
-  std::unordered_map<PredId, Relation> next_delta;
-  for (PredId pred : idb) {
-    delta.emplace(pred, Relation(program.preds().arity(pred)));
-    next_delta.emplace(pred, Relation(program.preds().arity(pred)));
-  }
-
   // Initialization round: every rule once against the full relations.
+  // Afterwards a predicate's delta is everything it contains (pre-seeded
+  // tuples included: downstream rules have never consumed them).
   {
     TraceSpan init_span(options.trace, "fixpoint_init");
     for (const RuleVariants& variants : compiled) {
       CS_RETURN_IF_ERROR(CheckCancel(options.cancel));
-      Relation scratch(program.preds().arity(variants.base.head_pred));
-      CS_RETURN_IF_ERROR(EvaluateRule(db->pool(), program.preds(),
-                                      variants.base, rel_for,
-                                      /*delta_literal=*/-1, nullptr, &scratch,
-                                      &stats->counters));
-      Relation* total = db->GetOrCreateRelation(variants.base.head_pred);
-      for (int64_t i = 0; i < scratch.num_rows(); ++i) {
-        if (total->Insert(scratch.row(i))) ++stats->total_derived;
-      }
-      scratch_sum.Add(scratch);
-    }
-    for (PredId pred : idb) {
-      const Relation* total = db->GetRelation(pred);
-      if (total != nullptr) delta.at(pred).UnionWith(*total);
+      const int64_t before = stats->counters.derivations;
+      CS_RETURN_IF_ERROR(EvaluateRule(db, variants.base, /*delta_literal=*/-1,
+                                      {}, &emitted, &stats->counters));
+      Drain(db, variants.base.head_pred,
+            stats->counters.derivations - before, &emitted, stats);
     }
     init_span.Attr("rules", static_cast<int64_t>(compiled.size()));
-    init_span.Attr("derived", stats->total_derived);
+    record_work(&init_span, 0, EvalCounters{});
   }
 
-  while (true) {
-    bool any_delta = false;
-    int64_t delta_rows = 0;
-    for (const auto& [pred, rel] : delta) {
-      any_delta |= !rel.empty();
-      delta_rows += rel.num_rows();
-    }
-    if (!any_delta) break;
+  for (int64_t delta_rows = advance_deltas(); delta_rows > 0;
+       delta_rows = advance_deltas()) {
     CS_RETURN_IF_ERROR(CheckCancel(options.cancel));
     if (++stats->iterations > options.max_iterations) {
       return ResourceExhaustedError(
@@ -130,68 +136,45 @@ Status SemiNaiveEvaluate(EvalDb* db, const std::vector<Rule>& rules,
                  " iterations"));
     }
 
-    // One span per iteration: the delta feeding this round plus the work
-    // it triggered (derived tuples and join counters as deltas).
+    // One span per iteration: the delta feeding it plus its work.
     TraceSpan iter_span(options.trace, "fixpoint_iteration");
     iter_span.Attr("iteration", stats->iterations);
     iter_span.Attr("delta_rows", delta_rows);
     const int64_t derived_before_iter = stats->total_derived;
     const EvalCounters counters_before_iter = stats->counters;
 
-    for (auto& [pred, rel] : next_delta) rel.Clear();
-
     for (const RuleVariants& variants : compiled) {
-      Relation scratch(program.preds().arity(variants.base.head_pred));
+      // Every delta variant of a rule reads the relations as they stood
+      // before the rule, so the head grows only once all have run.
+      const int64_t before = stats->counters.derivations;
       if (options.naive) {
-        CS_RETURN_IF_ERROR(EvaluateRule(
-            db->pool(), program.preds(), variants.base, rel_for,
-            /*delta_literal=*/-1, nullptr, &scratch, &stats->counters));
+        CS_RETURN_IF_ERROR(EvaluateRule(db, variants.base,
+                                        /*delta_literal=*/-1, {}, &emitted,
+                                        &stats->counters));
       } else {
         for (size_t v = 0; v < variants.idb_literals.size(); ++v) {
-          int lit = variants.idb_literals[v];
-          const Relation& d =
+          const int lit = variants.idb_literals[v];
+          const RowRange range =
               delta.at(variants.base.source.body[lit].pred);
-          if (d.empty()) continue;
-          CS_RETURN_IF_ERROR(EvaluateRule(
-              db->pool(), program.preds(), variants.delta_form[v], rel_for,
-              lit, &d, &scratch, &stats->counters));
+          if (range.empty()) continue;
+          CS_RETURN_IF_ERROR(EvaluateRule(db, variants.delta_form[v], lit,
+                                          range, &emitted,
+                                          &stats->counters));
         }
       }
-      Relation* total = db->GetOrCreateRelation(variants.base.head_pred);
-      Relation& nd = next_delta.at(variants.base.head_pred);
-      for (int64_t i = 0; i < scratch.num_rows(); ++i) {
-        if (total->Insert(scratch.row(i))) {
-          ++stats->total_derived;
-          nd.Insert(scratch.row(i));
-        }
-      }
-      scratch_sum.Add(scratch);
+      Drain(db, variants.base.head_pred,
+            stats->counters.derivations - before, &emitted, stats);
     }
-    iter_span.Attr("derived",
-                   stats->total_derived - derived_before_iter);
-    iter_span.Attr("tuples_considered",
-                   stats->counters.tuples_considered -
-                       counters_before_iter.tuples_considered);
-    iter_span.Attr("derivations", stats->counters.derivations -
-                                      counters_before_iter.derivations);
+    record_work(&iter_span, derived_before_iter, counters_before_iter);
     if (stats->total_derived > options.max_tuples) {
       return ResourceExhaustedError(
           StrCat("derived more than ", options.max_tuples, " tuples"));
     }
-    std::swap(delta, next_delta);
   }
 
-  TelemetrySum db_after = DatabaseTelemetry(*db);
-  TelemetrySum deltas;
-  for (const auto& [pred, rel] : delta) deltas.Add(rel);
-  for (const auto& [pred, rel] : next_delta) deltas.Add(rel);
-  stats->storage.probes =
-      db_after.probes - db_before.probes + scratch_sum.probes +
-      deltas.probes;
-  stats->storage.hash_collisions = db_after.collisions -
-                                   db_before.collisions +
-                                   scratch_sum.collisions + deltas.collisions;
-  stats->storage.arena_bytes = db_after.arena + deltas.arena;
+  stats->storage = DatabaseTelemetry(*db);
+  stats->storage.probes -= db_before.probes;
+  stats->storage.hash_collisions -= db_before.hash_collisions;
   return Status::Ok();
 }
 

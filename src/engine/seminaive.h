@@ -38,20 +38,21 @@ struct SemiNaiveOptions {
   const CancelToken* cancel = nullptr;
 
   /// Optional trace sink riding the same seam as `cancel`: when set,
-  /// the fixpoint records one span per iteration carrying delta sizes,
-  /// tuples derived, and join work counters. Null = no tracing; the
-  /// hot loop pays only a pointer test.
+  /// the fixpoint records a `fixpoint_init` span and one span per
+  /// iteration, each carrying tuples derived and join work counters.
+  /// Null = no tracing; the hot loop pays only a pointer test.
   Trace* trace = nullptr;
 };
 
 /// Storage-layer telemetry of one fixpoint run, aggregated from the
-/// Relation counters (see Relation::Telemetry): attribution for the
+/// Relation counters of `*db` (see Relation::Telemetry; deltas are row
+/// ranges, so a run has no relations of its own): attribution for the
 /// arena/open-addressing storage engine, reported by the benchmarks
 /// alongside the machine-independent `derived` counters.
 struct StorageStats {
   int64_t probes = 0;           // index probes issued during the run
   int64_t hash_collisions = 0;  // open-addressing collision steps
-  int64_t arena_bytes = 0;      // arena footprint at fixpoint
+  int64_t arena_bytes = 0;      // arena footprint of `*db` at fixpoint
 };
 
 /// Aggregate statistics of one fixpoint run; benchmarks report these as

@@ -103,16 +103,17 @@ void EpollEngine::Accept() {
       // listen-ready event rather than spinning.
       return;
     }
+    const uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Conn>(options_.max_line_bytes);
-    conn->id = next_conn_id_++;
+    conn->id = id;
     conn->fd = fd;
     conn->handler = factory_();
     conn->write_buf = conn->handler->Greeting();
     counters_->accepted.fetch_add(1, std::memory_order_relaxed);
     counters_->active_connections.fetch_add(1, std::memory_order_relaxed);
     Conn* raw = conn.get();
-    conns_.emplace(raw->id, std::move(conn));
-    if (!loop_.Add(fd, 0, raw->id).ok()) {
+    conns_.try_emplace(id, std::move(conn));
+    if (!loop_.Add(fd, 0, id).ok()) {
       CloseConn(raw);
       continue;
     }

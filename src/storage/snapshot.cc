@@ -3,6 +3,7 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <string.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -388,12 +389,10 @@ Status ErrnoError(std::string_view what, std::string_view path) {
 Status WriteSnapshot(const Database& db, uint64_t lsn, const std::string& dir,
                      SnapshotWriteStats* stats) {
   const std::string payload = EncodeSnapshotPayload(db, lsn);
-  std::string file;
-  file.reserve(sizeof(kMagic) + 12 + payload.size());
-  file.append(kMagic, sizeof(kMagic));
-  wire::PutU64(&file, static_cast<uint64_t>(payload.size()));
-  wire::PutU32(&file, Crc32(payload));
-  file += payload;
+  std::string header;
+  header.append(kMagic, sizeof(kMagic));
+  wire::PutU64(&header, static_cast<uint64_t>(payload.size()));
+  wire::PutU32(&header, Crc32(payload));
 
   const std::string final_path =
       StrCat(dir, "/", kSnapPrefix, LsnToHex(lsn), kSnapSuffix);
@@ -401,17 +400,15 @@ Status WriteSnapshot(const Database& db, uint64_t lsn, const std::string& dir,
 
   int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ErrnoError("open", tmp_path);
-  size_t done = 0;
-  while (done < file.size()) {
-    ssize_t n = ::write(fd, file.data() + done, file.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status = ErrnoError("write", tmp_path);
-      ::close(fd);
-      ::unlink(tmp_path.c_str());
-      return status;
-    }
-    done += static_cast<size_t>(n);
+  // One gathered write, so the payload is never copied behind the
+  // header.
+  struct iovec parts[2] = {
+      {header.data(), header.size()},
+      {const_cast<char*>(payload.data()), payload.size()}};
+  if (Status status = WriteAllV(fd, parts, 2, tmp_path); !status.ok()) {
+    ::close(fd);
+    ::unlink(tmp_path.c_str());
+    return status;
   }
   if (::fsync(fd) != 0) {
     Status status = ErrnoError("fsync", tmp_path);
@@ -431,7 +428,7 @@ Status WriteSnapshot(const Database& db, uint64_t lsn, const std::string& dir,
 
   if (stats != nullptr) {
     stats->lsn = lsn;
-    stats->bytes = static_cast<int64_t>(file.size());
+    stats->bytes = static_cast<int64_t>(header.size() + payload.size());
     stats->path = final_path;
   }
   return Status::Ok();

@@ -28,32 +28,6 @@ Status ErrnoError(std::string_view what, std::string_view path) {
   return InternalError(StrCat(what, " ", path, ": ", strerror(errno)));
 }
 
-/// Full gathered write of `iov[0..count)`, retrying short writes and
-/// EINTR. A short write that cannot be completed leaves a torn tail,
-/// which the caller must treat as a poisoned log.
-Status WriteAllV(int fd, struct iovec* iov, int count,
-                 const std::string& path) {
-  while (count > 0) {
-    ssize_t n = ::writev(fd, iov, count);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("write", path);
-    }
-    // Skip the buffers written whole, then advance into a partial one.
-    size_t done = static_cast<size_t>(n);
-    while (count > 0 && done >= iov->iov_len) {
-      done -= iov->iov_len;
-      ++iov;
-      --count;
-    }
-    if (count > 0) {
-      iov->iov_base = static_cast<char*>(iov->iov_base) + done;
-      iov->iov_len -= done;
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 const char* WalSyncPolicyToString(WalSyncPolicy policy) {
@@ -85,6 +59,29 @@ std::string LsnToHex(uint64_t lsn) {
     lsn >>= 4;
   }
   return out;
+}
+
+Status WriteAllV(int fd, struct iovec* iov, int count,
+                 const std::string& path) {
+  while (count > 0) {
+    ssize_t n = ::writev(fd, iov, count);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoError("write", path);
+    }
+    // Skip the buffers written whole, then advance into a partial one.
+    size_t done = static_cast<size_t>(n);
+    while (count > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
+  }
+  return Status::Ok();
 }
 
 Status SyncDir(const std::string& dir) {

@@ -1,6 +1,8 @@
 #ifndef CHAINSPLIT_STORAGE_WAL_H_
 #define CHAINSPLIT_STORAGE_WAL_H_
 
+#include <sys/uio.h>
+
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -169,6 +171,13 @@ std::string LsnToHex(uint64_t lsn);
 
 /// Fsyncs a directory so a rename/create/unlink inside it is durable.
 Status SyncDir(const std::string& dir);
+
+/// Full gathered write of `iov[0..count)` to `fd`, retrying short
+/// writes and EINTR (`iov` is advanced in place). A short write that
+/// cannot be completed leaves a torn tail, which the caller must treat
+/// as a poisoned file. `path` names the file in the error.
+Status WriteAllV(int fd, struct iovec* iov, int count,
+                 const std::string& path);
 
 }  // namespace chainsplit
 

@@ -26,11 +26,27 @@ class GrounderTest : public ::testing::Test {
     ASSERT_TRUE(db_.LoadProgramFacts().ok());
   }
 
-  RelationLookup Lookup() {
-    return [this](PredId pred) { return db_.GetRelation(pred); };
+  // Runs `rule` once and returns the distinct head rows it emitted;
+  // `counters_` holds the run's work.
+  Relation Run(const CompiledRule& rule, int delta_literal = -1,
+               RowRange delta = {}) {
+    std::vector<TermId> emitted;
+    counters_ = EvalCounters{};
+    Status status =
+        EvaluateRule(&db_, rule, delta_literal, delta, &emitted, &counters_);
+    EXPECT_TRUE(status.ok()) << status;
+    const int arity = static_cast<int>(rule.head_args.size());
+    EXPECT_EQ(static_cast<int64_t>(emitted.size()),
+              counters_.derivations * arity);
+    Relation out(arity);
+    for (int64_t i = 0; i < counters_.derivations; ++i) {
+      out.Insert(Relation::Row(emitted.data() + i * arity, arity));
+    }
+    return out;
   }
 
   Database db_;
+  EvalCounters counters_;
 };
 
 TEST_F(GrounderTest, CompilesFlatRule) {
@@ -79,16 +95,12 @@ TEST_F(GrounderTest, EvaluatesJoin) {
   Rule rule = ParseRule("p(X, Y) :- e(X, Z), e(Z, Y).");
   auto compiled = CompileRule(db_.program(), rule);
   ASSERT_TRUE(compiled.ok());
-  Relation out(2);
-  EvalCounters counters;
-  ASSERT_TRUE(EvaluateRule(db_.pool(), db_.program().preds(), *compiled,
-                           Lookup(), -1, nullptr, &out, &counters)
-                  .ok());
+  Relation out = Run(*compiled);
   EXPECT_EQ(out.size(), 2);  // (a,c), (b,d)
   TermId a = db_.pool().MakeSymbol("a");
   TermId c = db_.pool().MakeSymbol("c");
   EXPECT_TRUE(out.Contains({a, c}));
-  EXPECT_GT(counters.derivations, 0);
+  EXPECT_GT(counters_.derivations, 0);
 }
 
 TEST_F(GrounderTest, EvaluatesWithConstantsInBody) {
@@ -96,11 +108,7 @@ TEST_F(GrounderTest, EvaluatesWithConstantsInBody) {
   Rule rule = ParseRule("p(Y) :- e(a, Y).");
   auto compiled = CompileRule(db_.program(), rule);
   ASSERT_TRUE(compiled.ok());
-  Relation out(1);
-  EvalCounters counters;
-  ASSERT_TRUE(EvaluateRule(db_.pool(), db_.program().preds(), *compiled,
-                           Lookup(), -1, nullptr, &out, &counters)
-                  .ok());
+  Relation out = Run(*compiled);
   EXPECT_EQ(out.size(), 2);
 }
 
@@ -109,11 +117,7 @@ TEST_F(GrounderTest, EvaluatesBuiltinFilterAndArithmetic) {
   Rule rule = ParseRule("big(Y) :- n(X), X > 2, Y is X + 10.");
   auto compiled = CompileRule(db_.program(), rule);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  Relation out(1);
-  EvalCounters counters;
-  ASSERT_TRUE(EvaluateRule(db_.pool(), db_.program().preds(), *compiled,
-                           Lookup(), -1, nullptr, &out, &counters)
-                  .ok());
+  Relation out = Run(*compiled);
   EXPECT_EQ(out.size(), 2);
   EXPECT_TRUE(out.Contains({db_.pool().MakeInt(13)}));
   EXPECT_TRUE(out.Contains({db_.pool().MakeInt(14)}));
@@ -124,33 +128,68 @@ TEST_F(GrounderTest, RepeatedVariableInLiteral) {
   Rule rule = ParseRule("loop(X) :- e(X, X).");
   auto compiled = CompileRule(db_.program(), rule);
   ASSERT_TRUE(compiled.ok());
-  Relation out(1);
-  EvalCounters counters;
-  ASSERT_TRUE(EvaluateRule(db_.pool(), db_.program().preds(), *compiled,
-                           Lookup(), -1, nullptr, &out, &counters)
-                  .ok());
+  Relation out = Run(*compiled);
   EXPECT_EQ(out.size(), 2);  // a and b
 }
 
 TEST_F(GrounderTest, DeltaLiteralSubstitution) {
-  LoadFacts("e(a, b). e(b, c).");
+  LoadFacts("e(a, b). e(b, c). p0(a, a). p0(a, b).");
   Rule rule = ParseRule("p(X, Y) :- p0(X, Z), e(Z, Y).");
   auto compiled = CompileRule(db_.program(), rule, /*first_literal=*/0);
   ASSERT_TRUE(compiled.ok());
   EXPECT_EQ(compiled->order[0], 0);
-  // Delta holds a single tuple; only joins through it are derived.
-  Relation delta(2);
+  // The delta is p0's second row only; only joins through it are derived.
+  Relation out = Run(*compiled, /*delta_literal=*/0, RowRange{1, 2});
   TermId a = db_.pool().MakeSymbol("a");
-  TermId b = db_.pool().MakeSymbol("b");
   TermId c = db_.pool().MakeSymbol("c");
-  delta.Insert({a, b});
-  Relation out(2);
-  EvalCounters counters;
-  ASSERT_TRUE(EvaluateRule(db_.pool(), db_.program().preds(), *compiled,
-                           Lookup(), 0, &delta, &out, &counters)
-                  .ok());
   EXPECT_EQ(out.size(), 1);
   EXPECT_TRUE(out.Contains({a, c}));
+  EXPECT_EQ(counters_.tuples_considered, 2);  // one delta row, one e probe
+  // An empty range derives nothing and considers nothing.
+  EXPECT_TRUE(Run(*compiled, 0, RowRange{2, 2}).empty());
+  EXPECT_EQ(counters_.tuples_considered, 0);
+}
+
+TEST_F(GrounderTest, DeltaWithConstantScansTheRange) {
+  LoadFacts("p0(a, b). p0(b, c). p0(a, d). p0(b, e). p0(a, f).");
+  Rule rule = ParseRule("p(Y) :- p0(a, Y).");
+  auto compiled = CompileRule(db_.program(), rule, /*first_literal=*/0);
+  ASSERT_TRUE(compiled.ok());
+  // Rows 1..4 hold (a, d) and (a, f) among others. A delta range has no
+  // index, so every row in it is considered and the constant filters.
+  Relation out = Run(*compiled, 0, RowRange{1, 5});
+  EXPECT_EQ(out.size(), 2);
+  EXPECT_TRUE(out.Contains({db_.pool().MakeSymbol("d")}));
+  EXPECT_TRUE(out.Contains({db_.pool().MakeSymbol("f")}));
+  EXPECT_EQ(counters_.tuples_considered, 4);
+}
+
+TEST_F(GrounderTest, DeltaWithRepeatedVariable) {
+  LoadFacts("p0(a, a). p0(a, b). p0(b, b). p0(c, c).");
+  Rule rule = ParseRule("loop(X) :- p0(X, X).");
+  auto compiled = CompileRule(db_.program(), rule, /*first_literal=*/0);
+  ASSERT_TRUE(compiled.ok());
+  Relation out = Run(*compiled, 0, RowRange{1, 3});
+  EXPECT_EQ(out.size(), 1);
+  EXPECT_TRUE(out.Contains({db_.pool().MakeSymbol("b")}));
+  EXPECT_EQ(counters_.tuples_considered, 2);  // a scan checks every row
+}
+
+TEST_F(GrounderTest, AppendsEveryDerivationToTheBuffer) {
+  LoadFacts("e(a, b). e(a, c). e(b, c).");
+  Rule rule = ParseRule("p(X) :- e(X, Y).");
+  auto compiled = CompileRule(db_.program(), rule);
+  ASSERT_TRUE(compiled.ok());
+  TermId a = db_.pool().MakeSymbol("a");
+  TermId b = db_.pool().MakeSymbol("b");
+  // The buffer is appended to, not cleared, and keeps duplicates: the
+  // caller dedups when it drains.
+  std::vector<TermId> emitted = {kNullTerm};
+  EvalCounters counters;
+  ASSERT_TRUE(EvaluateRule(&db_, *compiled, -1, {}, &emitted, &counters).ok());
+  EXPECT_EQ(emitted, (std::vector<TermId>{kNullTerm, a, a, b}));
+  EXPECT_EQ(counters.derivations, 3);
+  EXPECT_EQ(counters.inserted, 0);  // counted by the fixpoint's drain
 }
 
 TEST_F(GrounderTest, DeltaMustBeRelationLiteral) {
@@ -164,11 +203,7 @@ TEST_F(GrounderTest, EmptyRelationYieldsNothing) {
   Rule rule = ParseRule("p(X, Y) :- never(X, Y).");
   auto compiled = CompileRule(db_.program(), rule);
   ASSERT_TRUE(compiled.ok());
-  Relation out(2);
-  EvalCounters counters;
-  ASSERT_TRUE(EvaluateRule(db_.pool(), db_.program().preds(), *compiled,
-                           Lookup(), -1, nullptr, &out, &counters)
-                  .ok());
+  Relation out = Run(*compiled);
   EXPECT_TRUE(out.empty());
 }
 
@@ -177,11 +212,7 @@ TEST_F(GrounderTest, GroundCompoundConstantsInRelations) {
   Rule rule = ParseRule("p(X) :- has(X, pair(a, 1)).");
   auto compiled = CompileRule(db_.program(), rule);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  Relation out(1);
-  EvalCounters counters;
-  ASSERT_TRUE(EvaluateRule(db_.pool(), db_.program().preds(), *compiled,
-                           Lookup(), -1, nullptr, &out, &counters)
-                  .ok());
+  Relation out = Run(*compiled);
   EXPECT_EQ(out.size(), 1);
 }
 

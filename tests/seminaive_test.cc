@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "ast/parser.h"
 #include "rel/ops.h"
 #include "workload/graph_gen.h"
@@ -138,50 +141,101 @@ len(L, 0) :- L = [].
   EXPECT_EQ(status.code(), StatusCode::kNotFinitelyEvaluable);
 }
 
-// Property: semi-naive equals naive evaluation on random graphs.
-class SemiNaiveEquivalence : public ::testing::TestWithParam<int> {};
+// Property: semi-naive equals naive evaluation on random graphs, for
+// rule shapes that stress the delta kernel.
+struct EquivalenceCase {
+  const char* name;
+  const char* rules;
+};
 
-TEST_P(SemiNaiveEquivalence, MatchesNaiveOnRandomGraphs) {
-  const char* rules = R"(
+void PrintTo(const EquivalenceCase& c, std::ostream* os) { *os << c.name; }
+
+const EquivalenceCase kEquivalenceCases[] = {
+    {"linear", R"(
 tc(X, Y) :- e(X, Y).
 tc(X, Y) :- e(X, Z), tc(Z, Y).
-)";
-  uint64_t seed = static_cast<uint64_t>(GetParam());
+)"},
+    // Each delta variant reads the head's full relation while it scans
+    // the head's delta rows.
+    {"nonlinear", R"(
+tc(X, Y) :- e(X, Y).
+tc(X, Y) :- tc(X, Z), tc(Z, Y).
+)"},
+    // Delta literals with a constant argument and a repeated variable.
+    {"constant_and_repeated", R"(
+tc(X, Y) :- e(X, Y).
+tc(X, Y) :- e(X, Z), tc(Z, Y).
+from0(Y) :- tc(n0, Y).
+loop(X) :- tc(X, X).
+)"},
+    // Two IDB literals in one body: both delta variants fire in a round.
+    {"two_idb_literals", R"(
+fwd(X, Y) :- e(X, Y).
+fwd(X, Y) :- fwd(X, Z), e(Z, Y).
+bwd(X, Y) :- e(Y, X).
+bwd(X, Y) :- e(Z, X), bwd(Z, Y).
+meet(X, Z) :- fwd(X, Y), bwd(Y, Z).
+)"},
+    // Pre-seeded IDB tuples are a delta of the first round.
+    {"preseeded", R"(
+tc(n0, extra). tc(extra, n1). tc(n2, n2).
+tc(X, Y) :- e(X, Y).
+tc(X, Y) :- e(X, Z), tc(Z, Y).
+)"},
+};
 
+class SemiNaiveEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, EquivalenceCase>> {
+ protected:
+  static void Evaluate(const char* rules, bool naive, Database* db,
+                       SemiNaiveStats* stats) {
+    GraphOptions g;
+    g.num_nodes = 30;
+    g.num_edges = 60;
+    g.seed = static_cast<uint64_t>(std::get<0>(GetParam()));
+    GenerateGraph(db, "e", g);
+    ASSERT_TRUE(ParseProgram(rules, &db->program()).ok());
+    ASSERT_TRUE(db->LoadProgramFacts().ok());
+    SemiNaiveOptions options;
+    options.naive = naive;
+    ASSERT_TRUE(
+        SemiNaiveEvaluate(db, db->program().rules(), options, stats).ok());
+  }
+};
+
+TEST_P(SemiNaiveEquivalence, MatchesNaiveOnRandomGraphs) {
+  const char* rules = std::get<1>(GetParam()).rules;
   Database fast;
-  GraphOptions g;
-  g.num_nodes = 30;
-  g.num_edges = 60;
-  g.seed = seed;
-  GenerateGraph(&fast, "e", g);
-  ASSERT_TRUE(ParseProgram(rules, &fast.program()).ok());
-  SemiNaiveStats stats;
-  ASSERT_TRUE(
-      SemiNaiveEvaluate(&fast, fast.program().rules(), {}, &stats).ok());
-
+  SemiNaiveStats fast_stats;
+  ASSERT_NO_FATAL_FAILURE(Evaluate(rules, /*naive=*/false, &fast,
+                                   &fast_stats));
   Database slow;
-  GenerateGraph(&slow, "e", g);
-  ASSERT_TRUE(ParseProgram(rules, &slow.program()).ok());
-  SemiNaiveOptions naive;
-  naive.naive = true;
-  ASSERT_TRUE(
-      SemiNaiveEvaluate(&slow, slow.program().rules(), naive, &stats).ok());
+  SemiNaiveStats slow_stats;
+  ASSERT_NO_FATAL_FAILURE(Evaluate(rules, /*naive=*/true, &slow,
+                                   &slow_stats));
 
-  auto tc_fast = fast.program().preds().Find("tc", 2);
-  auto tc_slow = slow.program().preds().Find("tc", 2);
-  ASSERT_TRUE(tc_fast.has_value());
-  ASSERT_TRUE(tc_slow.has_value());
-  const Relation* rf = fast.GetRelation(*tc_fast);
-  const Relation* rs = slow.GetRelation(*tc_slow);
-  ASSERT_NE(rf, nullptr);
-  ASSERT_NE(rs, nullptr);
+  EXPECT_GT(fast_stats.total_derived, 0);
+  EXPECT_EQ(fast_stats.total_derived, slow_stats.total_derived);
   // Symbols intern identically in both pools (same creation order), so
   // tuple-level comparison is meaningful.
-  EXPECT_TRUE(SameTuples(*rf, *rs));
+  for (const Rule& rule : fast.program().rules()) {
+    const Relation* rf = fast.GetRelation(rule.head.pred);
+    const Relation* rs = slow.GetRelation(rule.head.pred);
+    ASSERT_NE(rf, nullptr);
+    ASSERT_NE(rs, nullptr);
+    EXPECT_TRUE(SameTuples(*rf, *rs))
+        << fast.program().preds().Display(rule.head.pred);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SemiNaiveEquivalence,
-                         ::testing::Range(1, 9));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SemiNaiveEquivalence,
+    ::testing::Combine(::testing::Range(1, 9),
+                       ::testing::ValuesIn(kEquivalenceCases)),
+    [](const auto& info) {
+      return std::string(std::get<1>(info.param).name) + "_" +
+             std::to_string(std::get<0>(info.param));
+    });
 
 }  // namespace
 }  // namespace chainsplit

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -186,6 +187,49 @@ TEST(ServiceObsTest, CallerSuppliedTraceWins) {
   EXPECT_GT(trace.num_spans(), 3);
   EXPECT_TRUE(Contains(trace.ToChromeJson(), "\"evaluate\""));
   EXPECT_EQ(service.last_trace_json(), "");
+}
+
+// Sums integer attribute `key` over the spans named `span` in a Chrome
+// trace JSON (every event is {"name":"...",...,"args":{...}}).
+int64_t SumSpanAttr(const std::string& json, const std::string& span,
+                    const std::string& key) {
+  const std::string name = "{\"name\":\"" + span + "\"";
+  const std::string attr = "\"" + key + "\":";
+  int64_t sum = 0;
+  for (size_t at = json.find(name); at != std::string::npos;
+       at = json.find(name, at + 1)) {
+    const size_t end = json.find("}}", at);
+    const size_t found = json.find(attr, at);
+    if (found < end) sum += std::stoll(json.substr(found + attr.size()));
+  }
+  return sum;
+}
+
+TEST(ServiceObsTest, FixpointSpansAddUpToTheEvaluatorCounters) {
+  QueryService service;
+  SeedChain(&service, 8);
+  Trace trace("q");
+  RequestOptions request;
+  request.trace = &trace;
+  request.bypass_cache = true;
+  QueryResponse response = service.Query("?- tc(a2, Y).", request);
+  ASSERT_TRUE(response.status.ok()) << response.status;
+  const std::string json = trace.ToChromeJson();
+  // Magic sets evaluate the magic stratum and the tc stratum, each with
+  // its own init round; both rounds count, as every iteration does.
+  const SemiNaiveStats& stats = response.seminaive_stats;
+  ASSERT_GT(stats.counters.tuples_considered, 0);
+  EXPECT_GT(SumSpanAttr(json, "fixpoint_init", "tuples_considered"), 0);
+  const std::pair<const char*, int64_t> totals[] = {
+      {"tuples_considered", stats.counters.tuples_considered},
+      {"derivations", stats.counters.derivations},
+      {"derived", stats.total_derived}};
+  for (const auto& [key, want] : totals) {
+    EXPECT_EQ(SumSpanAttr(json, "fixpoint_init", key) +
+                  SumSpanAttr(json, "fixpoint_iteration", key),
+              want)
+        << key;
+  }
 }
 
 TEST(ServiceObsTest, UntracedQueriesLeaveNoTrace) {

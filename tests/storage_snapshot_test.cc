@@ -422,6 +422,40 @@ size_t FactCountOffset(const Database& db, const std::string& payload) {
 // rows that the relations section holds too. Such a snapshot, encoded
 // here by hand, must recover to the same relations, rows and order; a
 // fresh snapshot leaves the slot empty.
+TEST_F(SnapshotTest, FileIsHeaderThenPayloadByteForByte) {
+  Database db;
+  BuildDb(&db);
+  // Enough rows that the payload spans many pages.
+  PredId big = db.program().InternPred("big", 2);
+  for (int64_t i = 0; i < 50000; ++i) {
+    db.InsertFact(big, {db.pool().MakeInt(i), db.pool().MakeInt(i % 97)});
+  }
+  SnapshotWriteStats stats;
+  ASSERT_TRUE(WriteSnapshot(db, 23, dir_, &stats).ok());
+  const std::string file = ReadFile(stats.path);
+  EXPECT_EQ(stats.bytes, static_cast<int64_t>(file.size()));
+  ASSERT_GT(file.size(), size_t{400000});
+
+  // The layout: magic, u64 payload length, u32 CRC of the payload, then
+  // the payload, with nothing between or after.
+  const std::string payload = file.substr(kHeaderBytes);
+  std::string expected("CSDSNAP1", 8);
+  wire::PutU64(&expected, payload.size());
+  wire::PutU32(&expected, Crc32(payload));
+  expected += payload;
+  EXPECT_TRUE(file == expected);
+
+  // Writing the same database again yields the same bytes.
+  const std::string again_dir = dir_ + "/again";
+  fs::create_directories(again_dir);
+  SnapshotWriteStats again;
+  ASSERT_TRUE(WriteSnapshot(db, 23, again_dir, &again).ok());
+  EXPECT_TRUE(ReadFile(again.path) == file);
+  Database restored;
+  ASSERT_TRUE(LoadSnapshotFile(stats.path, &restored).ok());
+  ExpectSameDb(db, restored);
+}
+
 TEST_F(SnapshotTest, OlderFactListSectionIsValidatedAndSkipped) {
   Database original;
   BuildDb(&original);
