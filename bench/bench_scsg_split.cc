@@ -51,7 +51,7 @@ void RunScsg(benchmark::State& state, Technique technique) {
   double derived = 0;
   double answers = 0;
   double persons = 0;
-  StorageStats storage;
+  double considered = 0;
   for (auto _ : state) {
     state.PauseTiming();
     ScsgCase c = BuildCase(depth, /*fanout=*/3, countries);
@@ -64,15 +64,13 @@ void RunScsg(benchmark::State& state, Technique technique) {
     derived = static_cast<double>(result->seminaive_stats.total_derived);
     answers = static_cast<double>(result->answers.size());
     persons = static_cast<double>(c.data.num_persons);
-    storage = result->seminaive_stats.storage;
+    considered = static_cast<double>(
+        result->seminaive_stats.counters.tuples_considered);
   }
   state.counters["derived"] = derived;
   state.counters["answers"] = answers;
   state.counters["persons"] = persons;
-  state.counters["probes"] = static_cast<double>(storage.probes);
-  state.counters["hash_collisions"] =
-      static_cast<double>(storage.hash_collisions);
-  state.counters["arena_bytes"] = static_cast<double>(storage.arena_bytes);
+  state.counters["considered"] = considered;
 }
 
 void ChainFollowingMagic(benchmark::State& state) {

@@ -30,7 +30,7 @@ void QueryDirected(benchmark::State& state, Technique technique) {
   const int families = static_cast<int>(state.range(0));
   double derived = 0;
   double answers = 0;
-  StorageStats storage;
+  double considered = 0;
   for (auto _ : state) {
     state.PauseTiming();
     Database db;
@@ -50,14 +50,12 @@ void QueryDirected(benchmark::State& state, Technique technique) {
     CS_CHECK(result.ok()) << result.status();
     derived = static_cast<double>(result->seminaive_stats.total_derived);
     answers = static_cast<double>(result->answers.size());
-    storage = result->seminaive_stats.storage;
+    considered = static_cast<double>(
+        result->seminaive_stats.counters.tuples_considered);
   }
   state.counters["derived"] = derived;
   state.counters["answers"] = answers;
-  state.counters["probes"] = static_cast<double>(storage.probes);
-  state.counters["hash_collisions"] =
-      static_cast<double>(storage.hash_collisions);
-  state.counters["arena_bytes"] = static_cast<double>(storage.arena_bytes);
+  state.counters["considered"] = considered;
 }
 
 void MagicSets(benchmark::State& state) {
@@ -70,7 +68,7 @@ void BufferedChain(benchmark::State& state) {
 void FullSemiNaive(benchmark::State& state) {
   const int families = static_cast<int>(state.range(0));
   double derived = 0;
-  StorageStats storage;
+  double considered = 0;
   for (auto _ : state) {
     state.PauseTiming();
     Database db;
@@ -84,13 +82,10 @@ void FullSemiNaive(benchmark::State& state) {
     Status eval = SemiNaiveEvaluate(&db, db.program().rules(), {}, &stats);
     CS_CHECK(eval.ok()) << eval;
     derived = static_cast<double>(stats.total_derived);
-    storage = stats.storage;
+    considered = static_cast<double>(stats.counters.tuples_considered);
   }
   state.counters["derived"] = derived;
-  state.counters["probes"] = static_cast<double>(storage.probes);
-  state.counters["hash_collisions"] =
-      static_cast<double>(storage.hash_collisions);
-  state.counters["arena_bytes"] = static_cast<double>(storage.arena_bytes);
+  state.counters["considered"] = considered;
 }
 
 const std::vector<int64_t> kFamilies = {1, 2, 4, 8};

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -35,6 +36,17 @@ std::vector<std::string> StrSplit(std::string_view text, char sep) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+bool ParseInt(std::string_view text, int64_t min, int64_t max, int64_t* out) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {

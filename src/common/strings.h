@@ -30,6 +30,12 @@ std::vector<std::string> StrSplit(std::string_view text, char sep);
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+/// Parses all of `text` as a base-10 integer in [min, max] into
+/// `*out`. False, leaving `*out` alone, on anything else: an empty
+/// string, a sign or digit run followed by other characters, or a value
+/// out of range.
+bool ParseInt(std::string_view text, int64_t min, int64_t max, int64_t* out);
+
 /// Reads the whole file at `path` into one string sized to the file.
 /// NotFound if it cannot be opened.
 StatusOr<std::string> ReadFileToString(const std::string& path);

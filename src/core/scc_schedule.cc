@@ -4,24 +4,6 @@
 #include "core/cost_model.h"
 
 namespace chainsplit {
-namespace {
-
-/// Adds one stratum's work to the schedule's. Storage probes and
-/// collisions add; the arena footprint is the last stratum's, which
-/// already spans every relation the earlier strata filled. A failed
-/// stratum reports no storage stats, so its fold is skipped.
-void MergeStats(const SemiNaiveStats& from, bool completed,
-                SemiNaiveStats* into) {
-  into->iterations += from.iterations;
-  into->total_derived += from.total_derived;
-  into->counters.Add(from.counters);
-  if (!completed) return;
-  into->storage.probes += from.storage.probes;
-  into->storage.hash_collisions += from.storage.hash_collisions;
-  into->storage.arena_bytes = from.storage.arena_bytes;
-}
-
-}  // namespace
 
 Status EvaluateSccSchedule(EvalDb* db, const std::vector<Rule>& rules,
                            const SccScheduleOptions& options,
@@ -52,7 +34,9 @@ Status EvaluateSccSchedule(EvalDb* db, const std::vector<Rule>& rules,
     }
     SemiNaiveStats stratum;
     Status status = SemiNaiveEvaluate(db, strata[s], sn, &stratum);
-    MergeStats(stratum, status.ok(), stats);
+    stats->iterations += stratum.iterations;
+    stats->total_derived += stratum.total_derived;
+    stats->counters.Add(stratum.counters);
     span.Attr("iterations", stratum.iterations);
     span.Attr("derived", stratum.total_derived);
     CS_RETURN_IF_ERROR(status);

@@ -35,8 +35,7 @@ struct SccScheduleOptions {
 ///
 /// On error (deadline, cancellation, resource caps) the failing
 /// stratum's status is returned, later strata do not run, and `*stats`
-/// holds the merged work of every stratum that ran; its `storage`
-/// covers only the strata that completed. `*num_sccs`, when
+/// holds the merged work of every stratum that ran. `*num_sccs`, when
 /// given, receives the number of strata in the condensation.
 Status EvaluateSccSchedule(EvalDb* db, const std::vector<Rule>& rules,
                            const SccScheduleOptions& options,

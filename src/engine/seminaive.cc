@@ -17,20 +17,6 @@ struct RuleVariants {
   std::vector<CompiledRule> delta_form;  // parallel to idb_literals
 };
 
-/// Sums the telemetry counters of every stored relation of `db`.
-StorageStats DatabaseTelemetry(const EvalDb& db) {
-  StorageStats sum;
-  for (PredId pred : db.StoredPredicates()) {
-    const Relation* rel = db.GetRelation(pred);
-    if (rel == nullptr) continue;
-    const Relation::Telemetry t = rel->telemetry();
-    sum.probes += t.probes;
-    sum.hash_collisions += t.hash_collisions;
-    sum.arena_bytes += t.arena_bytes;
-  }
-  return sum;
-}
-
 /// Inserts the `n` head rows that rule runs appended to `*emitted` into
 /// the head's relation, counting the new ones, and empties the buffer.
 /// `n` is the runs' derivation count: a 0-ary head appends no values.
@@ -54,11 +40,6 @@ Status SemiNaiveEvaluate(EvalDb* db, const std::vector<Rule>& rules,
                          SemiNaiveStats* stats) {
   *stats = SemiNaiveStats{};
   Program& program = db->program();
-
-  // Storage-telemetry baseline: relation counters are cumulative over
-  // each relation's lifetime, so report deltas against the state at
-  // entry.
-  const StorageStats db_before = DatabaseTelemetry(*db);
 
   std::unordered_set<PredId> idb;
   for (const Rule& rule : rules) idb.insert(rule.head.pred);
@@ -172,9 +153,6 @@ Status SemiNaiveEvaluate(EvalDb* db, const std::vector<Rule>& rules,
     }
   }
 
-  stats->storage = DatabaseTelemetry(*db);
-  stats->storage.probes -= db_before.probes;
-  stats->storage.hash_collisions -= db_before.hash_collisions;
   return Status::Ok();
 }
 

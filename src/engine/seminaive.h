@@ -44,24 +44,12 @@ struct SemiNaiveOptions {
   Trace* trace = nullptr;
 };
 
-/// Storage-layer telemetry of one fixpoint run, aggregated from the
-/// Relation counters of `*db` (see Relation::Telemetry; deltas are row
-/// ranges, so a run has no relations of its own): attribution for the
-/// arena/open-addressing storage engine, reported by the benchmarks
-/// alongside the machine-independent `derived` counters.
-struct StorageStats {
-  int64_t probes = 0;           // index probes issued during the run
-  int64_t hash_collisions = 0;  // open-addressing collision steps
-  int64_t arena_bytes = 0;      // arena footprint of `*db` at fixpoint
-};
-
 /// Aggregate statistics of one fixpoint run; benchmarks report these as
 /// machine-independent work measures.
 struct SemiNaiveStats {
   int64_t iterations = 0;
   int64_t total_derived = 0;  // new tuples across all IDB predicates
   EvalCounters counters;
-  StorageStats storage;
 };
 
 /// Evaluates `rules` bottom-up to fixpoint over the relations of `*db`

@@ -125,14 +125,6 @@ RelationStats DatabaseOverlay::Stats(PredId pred) {
   return cached.stats;
 }
 
-std::vector<PredId> DatabaseOverlay::StoredPredicates() const {
-  std::vector<PredId> preds = base_->StoredPredicates();
-  for (const auto& [pred, relation] : local_) {
-    if (base_->GetRelation(pred) == nullptr) preds.push_back(pred);
-  }
-  return preds;
-}
-
 DatabaseOverlay::Telemetry DatabaseOverlay::telemetry() const {
   Telemetry t;
   t.relations = static_cast<int64_t>(local_.size());

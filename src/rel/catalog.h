@@ -68,9 +68,6 @@ class EvalDb {
 
   /// Cached statistics for `pred` (recomputed when the relation grew).
   virtual RelationStats Stats(PredId pred) = 0;
-
-  /// Predicates that currently have a stored relation.
-  virtual std::vector<PredId> StoredPredicates() const = 0;
 };
 
 /// The deductive database of the paper's model: an EDB (relations), an
@@ -115,7 +112,8 @@ class Database : public EvalDb {
   /// Safe for concurrent readers: the cache is mutex-guarded.
   RelationStats Stats(PredId pred) override;
 
-  std::vector<PredId> StoredPredicates() const override;
+  /// Predicates that currently have a stored relation.
+  std::vector<PredId> StoredPredicates() const;
 
  private:
   struct CachedStats {
@@ -159,7 +157,6 @@ class DatabaseOverlay final : public EvalDb {
   const Relation* GetRelation(PredId pred) const override;
   bool InsertFact(PredId pred, const Tuple& tuple) override;
   RelationStats Stats(PredId pred) override;
-  std::vector<PredId> StoredPredicates() const override;
 
   /// Scratch footprint of this overlay, for service telemetry.
   struct Telemetry {

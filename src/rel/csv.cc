@@ -33,7 +33,6 @@ StatusOr<int64_t> StageCsvFacts(Program* program, PredId pred,
   };
 
   std::vector<TermId> row;
-  row.reserve(arity);
   int64_t staged = 0;
   int line_number = 0;
   for (size_t at = 0; at <= text.size();) {

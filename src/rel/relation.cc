@@ -34,7 +34,7 @@ void Relation::DeleteIndexes() {
   num_indexes_.store(0, std::memory_order_release);
 }
 
-// The atomic members rule out the defaulted move members. Moves happen
+// The atomic index slots rule out the defaulted move members. Moves happen
 // only in single-threaded contexts (no concurrent reader may hold a
 // reference across a move).
 Relation::Relation(Relation&& other) noexcept
@@ -42,9 +42,7 @@ Relation::Relation(Relation&& other) noexcept
       num_rows_(other.num_rows_),
       version_(other.version_),
       arena_(std::move(other.arena_)),
-      slots_(std::move(other.slots_)),
-      insert_attempts_(other.insert_attempts_),
-      compactions_(other.compactions_) {
+      slots_(std::move(other.slots_)) {
   const int n = other.num_indexes_.load(std::memory_order_relaxed);
   for (int i = 0; i < n; ++i) {
     index_slots_[i].store(other.index_slots_[i].load(std::memory_order_relaxed),
@@ -53,11 +51,6 @@ Relation::Relation(Relation&& other) noexcept
   }
   num_indexes_.store(n, std::memory_order_relaxed);
   other.num_indexes_.store(0, std::memory_order_relaxed);
-  probes_.store(other.probes_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  hash_collisions_.store(
-      other.hash_collisions_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
   other.num_rows_ = 0;
 }
 
@@ -69,8 +62,6 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   version_ = other.version_;
   arena_ = std::move(other.arena_);
   slots_ = std::move(other.slots_);
-  insert_attempts_ = other.insert_attempts_;
-  compactions_ = other.compactions_;
   const int n = other.num_indexes_.load(std::memory_order_relaxed);
   for (int i = 0; i < n; ++i) {
     index_slots_[i].store(other.index_slots_[i].load(std::memory_order_relaxed),
@@ -79,11 +70,6 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   }
   num_indexes_.store(n, std::memory_order_relaxed);
   other.num_indexes_.store(0, std::memory_order_relaxed);
-  probes_.store(other.probes_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  hash_collisions_.store(
-      other.hash_collisions_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
   other.num_rows_ = 0;
   return *this;
 }
@@ -102,22 +88,13 @@ void Relation::Reserve(int64_t n) {
 
 int64_t Relation::FindRow(const TermId* row) const {
   if (slots_.empty()) return -1;
-  int64_t collisions = 0;
-  int64_t found = -1;
   const size_t mask = slots_.size() - 1;
   size_t idx = RowHash(row) & mask;
   while (slots_[idx] != kEmpty) {
-    if (RowEquals(slots_[idx], row)) {
-      found = static_cast<int64_t>(slots_[idx]);
-      break;
-    }
-    ++collisions;
+    if (RowEquals(slots_[idx], row)) return static_cast<int64_t>(slots_[idx]);
     idx = (idx + 1) & mask;
   }
-  if (collisions != 0) {
-    hash_collisions_.fetch_add(collisions, std::memory_order_relaxed);
-  }
-  return found;
+  return -1;
 }
 
 void Relation::GrowDedup(size_t min_slots) {
@@ -132,24 +109,13 @@ void Relation::GrowDedup(size_t min_slots) {
 }
 
 bool Relation::InsertRow(const TermId* row) {
-  ++insert_attempts_;
   if (slots_.empty()) GrowDedup(kMinSlots);
-  int64_t collisions = 0;
   const size_t mask = slots_.size() - 1;
   size_t idx = RowHash(row) & mask;
-  bool duplicate = false;
   while (slots_[idx] != kEmpty) {
-    if (RowEquals(slots_[idx], row)) {
-      duplicate = true;
-      break;
-    }
-    ++collisions;
+    if (RowEquals(slots_[idx], row)) return false;
     idx = (idx + 1) & mask;
   }
-  if (collisions != 0) {
-    hash_collisions_.fetch_add(collisions, std::memory_order_relaxed);
-  }
-  if (duplicate) return false;
   CS_CHECK(num_rows_ < static_cast<int64_t>(kEmpty))
       << "relation exceeds 2^32-1 rows";
   // `row` may alias this relation's own arena (self-insertion of a
@@ -169,13 +135,8 @@ bool Relation::InsertRow(const TermId* row) {
   ++num_rows_;
   ++version_;
   const int n = num_indexes_.load(std::memory_order_relaxed);
-  int64_t index_collisions = 0;
   for (int i = 0; i < n; ++i) {
-    IndexInsert(index_slots_[i].load(std::memory_order_relaxed), row_id,
-                &index_collisions);
-  }
-  if (index_collisions != 0) {
-    hash_collisions_.fetch_add(index_collisions, std::memory_order_relaxed);
+    IndexInsert(index_slots_[i].load(std::memory_order_relaxed), row_id);
   }
   if (static_cast<size_t>(num_rows_) * kLoadDen >=
       slots_.size() * kLoadNum) {
@@ -186,23 +147,14 @@ bool Relation::InsertRow(const TermId* row) {
 
 uint32_t Relation::FindBucket(const Index& index, const TermId* key) const {
   if (index.slots.empty()) return kEmpty;
-  int64_t collisions = 0;
-  uint32_t found = kEmpty;
   const size_t mask = index.slots.size() - 1;
   size_t idx = KeyHash(key, index.columns.size()) & mask;
   while (index.slots[idx] != kEmpty) {
     const Index::Bucket& bucket = index.buckets[index.slots[idx]];
-    if (RowKeyEquals(bucket.rep, index.columns, key)) {
-      found = index.slots[idx];
-      break;
-    }
-    ++collisions;
+    if (RowKeyEquals(bucket.rep, index.columns, key)) return index.slots[idx];
     idx = (idx + 1) & mask;
   }
-  if (collisions != 0) {
-    hash_collisions_.fetch_add(collisions, std::memory_order_relaxed);
-  }
-  return found;
+  return kEmpty;
 }
 
 void Relation::GrowIndexSlots(Index* index) const {
@@ -218,8 +170,7 @@ void Relation::GrowIndexSlots(Index* index) const {
   }
 }
 
-void Relation::IndexInsert(Index* index, uint32_t row_id,
-                           int64_t* collisions) const {
+void Relation::IndexInsert(Index* index, uint32_t row_id) const {
   if (index->slots.empty()) GrowIndexSlots(index);
   std::vector<PostingBlock>& pool = index->pool;
   CS_CHECK(pool.size() < Postings::kNull) << "posting pool overflow";
@@ -251,7 +202,6 @@ void Relation::IndexInsert(Index* index, uint32_t row_id,
       ++bucket.count;
       return;
     }
-    ++*collisions;
     idx = (idx + 1) & mask;
   }
   const uint32_t node = static_cast<uint32_t>(pool.size());
@@ -277,12 +227,8 @@ Relation::Index& Relation::GetOrBuildIndex(
   auto built = std::make_unique<Index>();
   built->columns = columns;
   built->buckets.reserve(16);
-  int64_t collisions = 0;
   for (int64_t i = 0; i < num_rows_; ++i) {
-    IndexInsert(built.get(), static_cast<uint32_t>(i), &collisions);
-  }
-  if (collisions != 0) {
-    hash_collisions_.fetch_add(collisions, std::memory_order_relaxed);
+    IndexInsert(built.get(), static_cast<uint32_t>(i));
   }
   // Publish: slot pointer first, then the count with release so any
   // reader that observes the new count sees a complete Index.
@@ -307,7 +253,6 @@ Relation::Postings Relation::Probe(const std::vector<int>& columns,
   CS_DCHECK(std::adjacent_find(columns.begin(), columns.end(),
                                std::greater_equal<int>()) == columns.end())
       << "Probe columns must be sorted and distinct";
-  probes_.fetch_add(1, std::memory_order_relaxed);
   if (IsFullKey(columns)) {
     const int64_t row_id = FindRow(key.data());
     return row_id < 0 ? Postings()
@@ -336,53 +281,6 @@ void Relation::Clear() {
   arena_.clear();
   slots_.clear();
   DeleteIndexes();
-}
-
-Relation::CompactionStats Relation::CompactPostings() {
-  CompactionStats stats;
-  ++compactions_;
-
-  // Rewrite each index's chains bucket by bucket into a fresh pool:
-  // each chain's blocks become adjacent and fully packed, so a Probe
-  // scan walks the pool sequentially. Every bucket owns at least one
-  // block (buckets are created on first insert), so head/tail always
-  // land on this chain's fresh blocks. Requires exclusive access, like
-  // Insert: concurrent readers may be walking the old pools.
-  const int n = num_indexes_.load(std::memory_order_relaxed);
-  for (int i = 0; i < n; ++i) {
-    Index& index = *index_slots_[i].load(std::memory_order_relaxed);
-    stats.blocks_before += static_cast<int64_t>(index.pool.size());
-    if (index.pool.empty()) continue;
-    std::vector<PostingBlock> packed;
-    packed.reserve(index.pool.size());
-    for (Index::Bucket& bucket : index.buckets) {
-      ++stats.chains;
-      const uint32_t new_head = static_cast<uint32_t>(packed.size());
-      for (uint32_t at = bucket.head; at != Postings::kNull;
-           at = index.pool[at].next) {
-        const PostingBlock& block = index.pool[at];
-        if (block.next != Postings::kNull && block.next != at + 1) {
-          ++stats.moved_blocks;  // a pool-order pointer chase eliminated
-        }
-        for (uint32_t s = 0; s < block.count; ++s) {
-          if (packed.size() == new_head ||
-              packed.back().count == PostingBlock::kCapacity) {
-            if (packed.size() > new_head) {
-              packed.back().next = static_cast<uint32_t>(packed.size());
-            }
-            packed.push_back(PostingBlock{{}, 0, Postings::kNull});
-          }
-          PostingBlock& dst = packed.back();
-          dst.rows[dst.count++] = block.rows[s];
-        }
-      }
-      bucket.head = new_head;
-      bucket.tail = static_cast<uint32_t>(packed.size()) - 1;
-    }
-    index.pool = std::move(packed);
-    stats.blocks_after += static_cast<int64_t>(index.pool.size());
-  }
-  return stats;
 }
 
 }  // namespace chainsplit

@@ -46,15 +46,14 @@ struct TupleHash {
 /// them.
 ///
 /// Thread-safety: the const read surface (Contains, row, Probe,
-/// ProbeEach, EnsureIndex, telemetry) is safe for any number of
-/// concurrent readers as long as no thread mutates the relation
-/// (Insert/Clear/UnionWith/CompactPostings and move require exclusive
-/// access). Lazy index construction is publication-safe: each index is
-/// built fully under an internal mutex, then published through an
-/// atomic slot, so concurrent readers can trigger index builds —
-/// including builds on different column subsets — without a data race.
-/// The probe/collision counters are relaxed atomics for the same
-/// reason.
+/// ProbeEach, telemetry) is safe for any number of concurrent readers
+/// as long as no thread mutates the relation (Insert/Clear/UnionWith
+/// and move require exclusive access). Lazy index construction is
+/// publication-safe: each index is built fully under an internal
+/// mutex, then published through an atomic slot, so concurrent readers
+/// can trigger index builds — including builds on different column
+/// subsets — without a data race. A probe of an index that already
+/// exists writes nothing shared.
 class Relation {
  public:
   /// A borrowed, non-owning view of one stored row. Implicitly converts
@@ -165,24 +164,10 @@ class Relation {
     uint32_t count_ = 0;
   };
 
-  /// Storage/telemetry counters; cumulative over the relation's
-  /// lifetime (they survive Clear, like insert_attempts).
+  /// Current storage footprint, computed on demand.
   struct Telemetry {
-    int64_t probes = 0;           // Probe/ProbeEach calls
-    int64_t hash_collisions = 0;  // extra open-addressing slot steps
-    int64_t arena_bytes = 0;      // current arena capacity in bytes
-    int64_t posting_blocks = 0;   // current posting-pool size in blocks
-    int64_t compactions = 0;      // CompactPostings calls so far
-  };
-
-  /// Outcome of one CompactPostings call: how fragmented the posting
-  /// pool was before and how dense it is now (storage telemetry
-  /// reports these as the before/after of read-mostly compaction).
-  struct CompactionStats {
-    int64_t chains = 0;         // posting chains (index buckets) rewritten
-    int64_t blocks_before = 0;  // pool blocks before compaction
-    int64_t blocks_after = 0;   // pool blocks after (fully packed chains)
-    int64_t moved_blocks = 0;   // non-adjacent chain links eliminated
+    int64_t arena_bytes = 0;     // arena capacity in bytes
+    int64_t posting_blocks = 0;  // posting-pool size in blocks
   };
 
   explicit Relation(int arity) : arity_(arity) {}
@@ -249,7 +234,6 @@ class Relation {
   template <typename Fn>
   void ProbeEach(const std::vector<int>& columns, const TermId* key,
                  Fn&& fn) const {
-    probes_.fetch_add(1, std::memory_order_relaxed);
     if (IsFullKey(columns)) {
       const int64_t row_id = FindRow(key);
       if (row_id >= 0) fn(row_id);
@@ -272,37 +256,15 @@ class Relation {
     ProbeEach(columns, key.data(), static_cast<Fn&&>(fn));
   }
 
-  /// Forces the index on `columns` to exist (a no-op for a full key,
-  /// which the dedup table serves). Publication-safe: any reader may
-  /// call this; losers of a concurrent build race reuse the winner's
-  /// index.
-  void EnsureIndex(const std::vector<int>& columns) const {
-    if (!IsFullKey(columns)) GetOrBuildIndex(columns);
-  }
-
   /// Copies every tuple of `other` into this relation; returns the
   /// number of new tuples.
   int64_t UnionWith(const Relation& other);
 
-  /// Removes all tuples (indexes are dropped; telemetry survives).
+  /// Removes all tuples (indexes are dropped).
   void Clear();
-
-  /// Rewrites every index bucket's posting chain contiguously (blocks
-  /// of one chain adjacent in the pool, fully packed), so long Probe
-  /// scans become sequential reads instead of pool-order pointer
-  /// chasing. Intended for read-mostly relations: inserts after
-  /// compaction re-fragment the tail of the pool. Invalidates
-  /// outstanding Postings views. No-op counters when no index exists.
-  CompactionStats CompactPostings();
-
-  /// Total tuples ever inserted via Insert (survives Clear); used by
-  /// benchmarks as a work measure.
-  int64_t insert_attempts() const { return insert_attempts_; }
 
   Telemetry telemetry() const {
     Telemetry t;
-    t.probes = probes_.load(std::memory_order_relaxed);
-    t.hash_collisions = hash_collisions_.load(std::memory_order_relaxed);
     t.arena_bytes =
         static_cast<int64_t>(arena_.capacity() * sizeof(TermId));
     const int n = num_indexes_.load(std::memory_order_acquire);
@@ -310,7 +272,6 @@ class Relation {
       const Index* index = index_slots_[i].load(std::memory_order_relaxed);
       t.posting_blocks += static_cast<int64_t>(index->pool.size());
     }
-    t.compactions = compactions_;
     return t;
   }
 
@@ -385,7 +346,7 @@ class Relation {
   Index* FindIndex(const std::vector<int>& columns) const;
   /// Slot whose bucket matches `key`, or kEmpty.
   uint32_t FindBucket(const Index& index, const TermId* key) const;
-  void IndexInsert(Index* index, uint32_t row_id, int64_t* collisions) const;
+  void IndexInsert(Index* index, uint32_t row_id) const;
   void GrowIndexSlots(Index* index) const;
   void DeleteIndexes();
 
@@ -408,10 +369,6 @@ class Relation {
   mutable std::array<std::atomic<Index*>, kMaxIndexes> index_slots_{};
   mutable std::atomic<int> num_indexes_{0};
   mutable std::mutex index_mu_;  // serializes index builds
-  int64_t insert_attempts_ = 0;
-  int64_t compactions_ = 0;
-  mutable std::atomic<int64_t> probes_{0};
-  mutable std::atomic<int64_t> hash_collisions_{0};
 };
 
 }  // namespace chainsplit

@@ -9,12 +9,18 @@
 #include "rel/csv.h"
 
 namespace chainsplit {
+namespace {
+
+/// LRU capacities (entries) of the plan and result caches.
+constexpr size_t kPlanCacheCapacity = 128;
+constexpr size_t kResultCacheCapacity = 1024;
+
+}  // namespace
 
 template <typename V>
 void QueryService::LruCache<V>::Put(std::string key,
                                     std::shared_ptr<V> value,
                                     size_t capacity) {
-  if (capacity == 0) return;
   auto it = index.find(key);
   if (it != index.end()) {
     it->second->value = std::move(value);
@@ -37,10 +43,7 @@ void QueryService::LruCache<V>::Erase(std::string_view key) {
   index.erase(it);
 }
 
-QueryService::QueryService(ServiceOptions options)
-    : options_(std::move(options)) {
-  InitMetrics();
-}
+QueryService::QueryService() { InitMetrics(); }
 
 void QueryService::InitMetrics() {
   c_.queries = registry_.AddCounter(
@@ -90,18 +93,6 @@ void QueryService::InitMetrics() {
   c_.overlay_bytes = registry_.AddCounter(
       "csdd_overlay_bytes_total",
       "Arena bytes of query-local overlay scratch");
-  c_.compacted_relations = registry_.AddCounter(
-      "csdd_compacted_relations_total",
-      "Relations marked read-mostly and postings-compacted");
-  c_.compaction_blocks_before = registry_.AddCounter(
-      "csdd_compaction_blocks_total", "Posting blocks around compaction",
-      {{"when", "before"}});
-  c_.compaction_blocks_after = registry_.AddCounter(
-      "csdd_compaction_blocks_total", "Posting blocks around compaction",
-      {{"when", "after"}});
-  c_.compaction_moved_blocks = registry_.AddCounter(
-      "csdd_compaction_moved_blocks_total",
-      "Posting blocks rewritten by compaction");
   const char* outcome_help =
       "Service requests by outcome (the TCP server adds "
       "rejected_overload/rejected_oversize series to this family)";
@@ -415,10 +406,6 @@ ServiceStats QueryService::stats() const {
   out.exclusive_evals = c_.exclusive_evals->Value();
   out.overlay_relations = c_.overlay_relations->Value();
   out.overlay_bytes = c_.overlay_bytes->Value();
-  out.compacted_relations = c_.compacted_relations->Value();
-  out.compaction_blocks_before = c_.compaction_blocks_before->Value();
-  out.compaction_blocks_after = c_.compaction_blocks_after->Value();
-  out.compaction_moved_blocks = c_.compaction_moved_blocks->Value();
   return out;
 }
 
@@ -472,48 +459,19 @@ std::vector<std::pair<PredId, uint64_t>> QueryService::SnapshotDeps(
   return deps;
 }
 
-void QueryService::CompactDeps(
-    const std::vector<std::pair<PredId, uint64_t>>& deps) {
-  if (!options_.compact_read_mostly) return;
-  // Claim newly read-mostly predicates under cache_mu_, then compact
-  // them under a brief exclusive db lock. The common case — every dep
-  // already marked — takes no db lock at all.
-  std::vector<PredId> fresh;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    for (const auto& [pred, version] : deps) {
-      (void)version;
-      if (read_mostly_.insert(pred).second) fresh.push_back(pred);
-    }
-  }
-  if (fresh.empty()) return;
-  std::unique_lock<std::shared_mutex> db_lock(db_mu_);
-  for (PredId pred : fresh) {
-    if (db_.GetRelation(pred) == nullptr) continue;
-    Relation* rel = db_.GetOrCreateRelation(pred);
-    if (rel->num_rows() == 0) continue;
-    Relation::CompactionStats compaction = rel->CompactPostings();
-    c_.compacted_relations->Inc();
-    c_.compaction_blocks_before->Inc(compaction.blocks_before);
-    c_.compaction_blocks_after->Inc(compaction.blocks_after);
-    c_.compaction_moved_blocks->Inc(compaction.moved_blocks);
-  }
-}
-
 Status QueryService::RunPlanner(EvalDb* eval_db,
                                 const ::chainsplit::Query& query,
                                 const std::string& signature,
                                 const CancelToken* cancel, Trace* trace,
                                 QueryResponse* response,
                                 QueryResult* result) {
-  PlannerOptions planner = options_.planner;
+  PlannerOptions planner;
   planner.cancel = cancel;
   planner.trace = trace;
   planner.rectified = RectifiedRules();
 
   std::shared_ptr<PlanEntry> plan;
-  if (options_.enable_plan_cache && !signature.empty() &&
-      !planner.force.has_value()) {
+  if (!signature.empty()) {
     TraceSpan lookup_span(trace, "plan_cache_lookup");
     std::lock_guard<std::mutex> lock(cache_mu_);
     plan = plan_cache_.Get(signature);
@@ -550,12 +508,11 @@ Status QueryService::RunPlanner(EvalDb* eval_db,
       plan_cache_.Erase(signature);
     }
     response->plan_cache_hit = false;
-    planner.force = options_.planner.force;
+    planner.force.reset();
     status = EvaluateQueryInto(eval_db, query, planner, result);
     plan = nullptr;
   }
-  if (status.ok() && plan == nullptr && options_.enable_plan_cache &&
-      !signature.empty() && !options_.planner.force.has_value()) {
+  if (status.ok() && plan == nullptr && !signature.empty()) {
     auto entry = std::make_shared<PlanEntry>();
     entry->technique = result->technique;
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -563,8 +520,7 @@ Status QueryService::RunPlanner(EvalDb* eval_db,
     // cannot have moved since the evaluation started: stamping the
     // current epoch stamps the epoch the technique was chosen under.
     entry->rules_epoch = rules_epoch_;
-    plan_cache_.Put(signature, std::move(entry),
-                    options_.plan_cache_capacity);
+    plan_cache_.Put(signature, std::move(entry), kPlanCacheCapacity);
   }
   if (response->plan_cache_hit) {
     result->plan += "plan: technique reused from plan cache\n";
@@ -579,13 +535,11 @@ QueryResponse QueryService::EvaluateOn(EvalDb* eval_db,
   QueryResponse response;
 
   CancelToken token;
-  std::chrono::milliseconds deadline =
-      request.deadline.count() > 0 ? request.deadline
-                                   : options_.default_deadline;
-  if (deadline.count() > 0) token.SetTimeout(deadline);
+  const bool has_deadline = request.deadline.count() > 0;
+  if (has_deadline) token.SetTimeout(request.deadline);
   token.set_parent(request.cancel);
   const CancelToken* cancel =
-      (deadline.count() > 0 || request.cancel != nullptr) ? &token : nullptr;
+      (has_deadline || request.cancel != nullptr) ? &token : nullptr;
 
   QueryResult result;
   response.status = RunPlanner(eval_db, query, signature, cancel,
@@ -687,8 +641,7 @@ QueryResponse QueryService::QueryImpl(std::string_view text,
   }
   c_.queries->Inc();
 
-  const bool use_result_cache =
-      options_.enable_result_cache && !request.bypass_cache;
+  const bool use_result_cache = !request.bypass_cache;
   const std::string& key = canonical->key;
   if (use_result_cache) {
     TraceSpan lookup_span(request.trace, "result_cache_lookup");
@@ -782,7 +735,6 @@ QueryResponse QueryService::QueryImpl(std::string_view text,
   entry->topdown_stats = response.topdown_stats;
   store_span.Attr("rows", static_cast<int64_t>(entry->rows.size()));
   store_span.Attr("deps", static_cast<int64_t>(entry->deps.size()));
-  CompactDeps(entry->deps);
   if (test_before_put_hook_) test_before_put_hook_();
   std::lock_guard<std::mutex> lock(cache_mu_);
   // Revalidate the epoch under the same lock as the insert: a rule
@@ -797,8 +749,7 @@ QueryResponse QueryService::QueryImpl(std::string_view text,
     store_span.Attr("skipped_stale", int64_t{1});
     return response;
   }
-  result_cache_.Put(key, std::move(entry),
-                    options_.result_cache_capacity);
+  result_cache_.Put(key, std::move(entry), kResultCacheCapacity);
   return response;
 }
 
@@ -814,7 +765,7 @@ Status QueryService::TestOnlyInjectPlanEntry(std::string_view query_text,
   entry->rules_epoch = rules_epoch;
   std::lock_guard<std::mutex> lock(cache_mu_);
   plan_cache_.Put(PlanSignature(db_.program(), *parsed), std::move(entry),
-                  options_.plan_cache_capacity);
+                  kPlanCacheCapacity);
   return Status::Ok();
 }
 
@@ -923,6 +874,10 @@ StatusOr<int64_t> QueryService::LoadCsvContent(std::string_view name,
                                                int arity,
                                                std::string_view content,
                                                char delimiter, bool log) {
+  if (arity < 1) {
+    return InvalidArgumentError(
+        StrCat("csv load into ", name, "/", arity, ": arity must be >= 1"));
+  }
   std::unique_lock<std::shared_mutex> db_lock(db_mu_);
   if (log) c_.updates->Inc();
   PredId pred = db_.program().InternPred(name, arity);

@@ -14,7 +14,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -32,57 +31,9 @@
 
 namespace chainsplit {
 
-/// QueryService — a concurrent front-end over one shared Database
-/// (docs/service.md).
-///
-/// Concurrency model: a reader/writer lock over the database, where
-/// *all query evaluation* — cache hits and uncached queries alike —
-/// runs under the shared (read) side. An uncached query parses with
-/// ParseQueryOnly (interning is internally synchronized and the
-/// program is otherwise untouched) and evaluates through a
-/// DatabaseOverlay: magic seeds, adorned/magic relations, deltas and
-/// answer relations land in query-local scratch, lazy index builds on
-/// base relations are publication-safe, and the base Database stays
-/// frozen. Only genuine mutation takes the exclusive side: fact and
-/// rule updates, CSV loads, and read-mostly posting compaction.
-/// Relation version() snapshots taken under the shared lock are
-/// consistent by construction — no writer can hold the exclusive lock
-/// while the snapshot is taken.
-///
-/// Two caches amortize repeated work:
-///  * the plan cache maps a PlanSignature (query shape, constants
-///    abstracted to boundness) to the technique the planner chose, and
-///    shares one rectification of the rules per rules epoch;
-///  * the result cache maps the lexically canonicalized query text to
-///    fully formatted answers, validated against per-relation version
-///    counters (epochs) of every relation the query can read.
-///
-/// Invalidation: fact inserts bump the owning relation's version, so a
-/// cached result is revalidated by comparing its dependency snapshot;
-/// rule changes bump the service-wide rules epoch, which drops both
-/// caches wholesale.
-struct ServiceOptions {
-  PlannerOptions planner;
-
-  bool enable_plan_cache = true;
-  bool enable_result_cache = true;
-  /// LRU capacities (entries).
-  size_t plan_cache_capacity = 128;
-  size_t result_cache_capacity = 1024;
-
-  /// Compact the posting chains of a relation the first time a cached
-  /// query depends on it (the service then treats it as read-mostly);
-  /// see Relation::CompactPostings and the storage telemetry.
-  bool compact_read_mostly = true;
-
-  /// Deadline applied to every request that does not set its own.
-  /// Zero = no deadline.
-  std::chrono::milliseconds default_deadline{0};
-};
-
 /// Per-request knobs.
 struct RequestOptions {
-  /// Zero = use the service default.
+  /// Zero = no deadline.
   std::chrono::milliseconds deadline{0};
   /// Optional caller-owned cancellation token (e.g. the server's
   /// shutdown token); chained under the per-request deadline token.
@@ -204,16 +155,40 @@ struct ServiceStats {
   /// materialized and their arena bytes, summed over all queries.
   int64_t overlay_relations = 0;
   int64_t overlay_bytes = 0;
-  /// Postings-compaction telemetry (read-mostly marking).
-  int64_t compacted_relations = 0;
-  int64_t compaction_blocks_before = 0;
-  int64_t compaction_blocks_after = 0;
-  int64_t compaction_moved_blocks = 0;
 };
 
+/// QueryService — a concurrent front-end over one shared Database
+/// (docs/service.md).
+///
+/// Concurrency model: a reader/writer lock over the database, where
+/// *all query evaluation* — cache hits and uncached queries alike —
+/// runs under the shared (read) side. An uncached query parses with
+/// ParseQueryOnly (interning is internally synchronized and the
+/// program is otherwise untouched) and evaluates through a
+/// DatabaseOverlay: magic seeds, adorned/magic relations, deltas and
+/// answer relations land in query-local scratch, lazy index builds on
+/// base relations are publication-safe, and the base Database stays
+/// frozen. Only genuine mutation takes the exclusive side: fact and
+/// rule updates and CSV loads; a read-only request never does.
+/// Relation version() snapshots taken under the shared lock are
+/// consistent by construction — no writer can hold the exclusive lock
+/// while the snapshot is taken.
+///
+/// Two caches amortize repeated work:
+///  * the plan cache maps a PlanSignature (query shape, constants
+///    abstracted to boundness) to the technique the planner chose, and
+///    shares one rectification of the rules per rules epoch;
+///  * the result cache maps the lexically canonicalized query text to
+///    fully formatted answers, validated against per-relation version
+///    counters (epochs) of every relation the query can read.
+///
+/// Invalidation: fact inserts bump the owning relation's version, so a
+/// cached result is revalidated by comparing its dependency snapshot;
+/// rule changes bump the service-wide rules epoch, which drops both
+/// caches wholesale. Both caches are bounded LRUs (query_service.cc).
 class QueryService {
  public:
-  explicit QueryService(ServiceOptions options = {});
+  QueryService();
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
   ~QueryService();
@@ -390,10 +365,6 @@ class QueryService {
   /// Mutex-guarded so concurrent shared-lock evaluations can share the
   /// one rectification per epoch.
   const std::vector<Rule>* RectifiedRules();
-  /// Marks every dependency relation read-mostly, compacting its
-  /// postings the first time. Takes the exclusive lock itself when
-  /// there is anything to compact — the caller must NOT hold db_mu_.
-  void CompactDeps(const std::vector<std::pair<PredId, uint64_t>>& deps);
   /// Snapshot of the current versions of the relations `preds` read.
   /// Caller holds db_mu_ (either mode).
   std::vector<std::pair<PredId, uint64_t>> SnapshotDeps(
@@ -430,14 +401,13 @@ class QueryService {
   void NoteLoggedRecord(uint64_t lsn);
   void CheckpointerLoop();
 
-  const ServiceOptions options_;
   Database db_;
 
   /// Guards db_: shared = anything that only reads the base (cache
   /// hits, uncached evaluation through an overlay), exclusive =
-  /// mutation (fact/rule updates, CSV loads, posting compaction) and
-  /// the queries embedded in an update. Lock order
-  /// when both are needed: db_mu_ before cache_mu_.
+  /// mutation (fact/rule updates, CSV loads) and the queries embedded
+  /// in an update. Lock order when both are needed: db_mu_ before
+  /// cache_mu_.
   mutable std::shared_mutex db_mu_;
   /// Guards the caches and counters; never held across evaluation.
   mutable std::mutex cache_mu_;
@@ -452,7 +422,6 @@ class QueryService {
   /// evaluation of that epoch.
   std::vector<Rule> rectified_;
   bool rectified_valid_ = false;
-  std::unordered_set<PredId> read_mostly_;
 
   /// Handles into registry_ for every service-owned series; the
   /// registry owns the instruments, so raw pointers stay valid for the
@@ -475,10 +444,6 @@ class QueryService {
     Counter* exclusive_evals = nullptr;
     Counter* overlay_relations = nullptr;
     Counter* overlay_bytes = nullptr;
-    Counter* compacted_relations = nullptr;
-    Counter* compaction_blocks_before = nullptr;
-    Counter* compaction_blocks_after = nullptr;
-    Counter* compaction_moved_blocks = nullptr;
     /// csdd_requests_total{outcome=...}: one bump per top-level
     /// Query()/Update(); the TCP server adds rejected_overload /
     /// rejected_oversize series to the same family.

@@ -1,7 +1,7 @@
 #include "service/session.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <cstdint>
 
 #include "common/strings.h"
 
@@ -112,12 +112,14 @@ bool Session::HandleCommand(const std::string& line, std::string* out) {
     std::vector<std::string> spec =
         parts.empty() ? std::vector<std::string>()
                       : StrSplit(parts[0], '/');
-    if (parts.size() != 2 || spec.size() != 2) {
+    int64_t arity = 0;
+    if (parts.size() != 2 || spec.size() != 2 ||
+        !ParseInt(spec[1], INT32_MIN, INT32_MAX, &arity)) {
       ++error_count_;
       *out += "usage: :csv PRED/ARITY FILE\n";
     } else {
       StatusOr<int64_t> loaded = service_->LoadCsv(
-          spec[0], std::atoi(spec[1].c_str()), parts[1]);
+          spec[0], static_cast<int>(arity), parts[1]);
       if (!loaded.ok()) {
         ++error_count_;
         *out += StrCat("error: ", loaded.status().ToString(), "\n");
@@ -133,8 +135,14 @@ bool Session::HandleCommand(const std::string& line, std::string* out) {
     options_.show_stats = !options_.show_stats;
     *out += StrCat("% statistics ", options_.show_stats ? "on" : "off", "\n");
   } else if (cmd == ":deadline") {
-    request_.deadline = std::chrono::milliseconds(std::atoll(args.c_str()));
-    *out += StrCat("% deadline ", request_.deadline.count(), " ms\n");
+    int64_t ms = 0;
+    if (!ParseInt(args, 0, INT64_MAX, &ms)) {
+      ++error_count_;
+      *out += "usage: :deadline MS\n";
+    } else {
+      request_.deadline = std::chrono::milliseconds(ms);
+      *out += StrCat("% deadline ", ms, " ms\n");
+    }
   } else if (cmd == ":preds") {
     for (const auto& [name, size] : service_->ListPredicates()) {
       *out += StrCat("  ", name, "  ", size, " tuples\n");
@@ -153,11 +161,7 @@ bool Session::HandleCommand(const std::string& line, std::string* out) {
         ",\"overlay\":{\"relations\":", s.overlay_relations,
         ",\"bytes\":", s.overlay_bytes, "}",
         ",\"deadline_exceeded\":", s.deadline_exceeded,
-        ",\"cancelled\":", s.cancelled,
-        ",\"compaction\":{\"relations\":", s.compacted_relations,
-        ",\"blocks_before\":", s.compaction_blocks_before,
-        ",\"blocks_after\":", s.compaction_blocks_after,
-        ",\"moved_blocks\":", s.compaction_moved_blocks, "}}\n");
+        ",\"cancelled\":", s.cancelled, "}\n");
   } else if (cmd == ":cache") {
     ServiceStats stats = service_->stats();
     *out += StrCat("% queries ", stats.queries, ", updates ", stats.updates,
@@ -171,10 +175,7 @@ bool Session::HandleCommand(const std::string& line, std::string* out) {
                    "% overlays: ", stats.overlay_relations, " relations, ",
                    stats.overlay_bytes, " scratch bytes\n",
                    "% deadlines exceeded ", stats.deadline_exceeded,
-                   ", cancelled ", stats.cancelled, "\n",
-                   "% compacted ", stats.compacted_relations, " relations (",
-                   stats.compaction_blocks_before, " -> ",
-                   stats.compaction_blocks_after, " posting blocks)\n");
+                   ", cancelled ", stats.cancelled, "\n");
   } else if (cmd == ":metrics") {
     *out += service_->metrics()->RenderPrometheus();
   } else if (cmd == ":trace") {

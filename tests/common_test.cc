@@ -83,6 +83,20 @@ TEST(StringsTest, StrJoin) {
   EXPECT_EQ(StrJoin({"solo"}, ","), "solo");
 }
 
+TEST(StringsTest, ParseIntTakesOnlyAWholeNumberInRange) {
+  int64_t v = 7;
+  EXPECT_TRUE(ParseInt("42", 0, 100, &v));
+  EXPECT_EQ(v, 42);
+  EXPECT_TRUE(ParseInt("-5", -10, 10, &v));
+  EXPECT_EQ(v, -5);
+  for (const char* bad : {"", "abc", "5x", " 5", "+5", "1e3", "101", "-11",
+                          "99999999999999999999"}) {
+    v = 7;
+    EXPECT_FALSE(ParseInt(bad, -10, 100, &v)) << bad;
+    EXPECT_EQ(v, 7) << bad;
+  }
+}
+
 TEST(StringsTest, StrSplit) {
   EXPECT_EQ(StrSplit("a,b,,c", ','),
             (std::vector<std::string>{"a", "b", "", "c"}));

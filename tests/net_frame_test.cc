@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -125,6 +126,62 @@ TEST(LineFramerTest, ZeroMeansUnlimited) {
 TEST(LineFramerTest, OversizeFrameNamesTheLimit) {
   EXPECT_EQ(OversizeFrame(4096),
             "% error: request line exceeds 4096 bytes\n.\n");
+}
+
+/// Seeded random byte streams fed at random split points under random
+/// limits: the lines that come out are the stream's lines, each with
+/// its terminator's \r stripped, up to the first line longer than the
+/// limit; from there on the framer answers kOversize, whatever follows.
+TEST(LineFramerTest, RandomStreamsAtRandomSplitsReassemble) {
+  std::mt19937 rng(2027);
+  for (int round = 0; round < 3000; ++round) {
+    const size_t max_line = rng() % 4 == 0 ? 0 : rng() % 24;
+    std::string stream(rng() % 160, '\0');
+    for (char& c : stream) {
+      const uint32_t pick = rng() % 16;
+      c = pick < 3 ? '\n' : pick < 5 ? '\r' : static_cast<char>(rng());
+    }
+
+    // The oracle: split at every \n; a raw line (\r included) over the
+    // limit poisons the stream, as does an unterminated tail over it.
+    std::vector<std::string> want;
+    bool want_oversize = false;
+    size_t at = 0;
+    for (size_t nl; (nl = stream.find('\n', at)) != std::string::npos;
+         at = nl + 1) {
+      std::string line = stream.substr(at, nl - at);
+      if (max_line > 0 && line.size() > max_line) {
+        want_oversize = true;
+        break;
+      }
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      want.push_back(line);
+    }
+    if (!want_oversize && max_line > 0 && stream.size() - at > max_line) {
+      want_oversize = true;
+    }
+
+    LineFramer framer(max_line);
+    std::vector<std::string> got;
+    bool oversize = false;
+    std::string line;
+    for (size_t fed = 0; fed < stream.size() && !oversize;) {
+      const size_t n = std::min<size_t>(1 + rng() % 24, stream.size() - fed);
+      framer.Append(stream.data() + fed, n);
+      fed += n;
+      Result result;
+      while ((result = framer.Next(&line)) == Result::kLine) {
+        got.push_back(line);
+      }
+      oversize = result == Result::kOversize;
+    }
+    ASSERT_EQ(got, want) << "round " << round;
+    ASSERT_EQ(oversize, want_oversize) << "round " << round;
+    if (oversize) {
+      framer.Append("ok\n", 3);  // poisoned: valid bytes do not revive it
+      EXPECT_EQ(framer.Next(&line), Result::kOversize);
+    }
+  }
 }
 
 }  // namespace

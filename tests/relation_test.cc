@@ -19,7 +19,6 @@ TEST(RelationTest, InsertDeduplicates) {
   EXPECT_FALSE(rel.Insert({1, 2}));
   EXPECT_TRUE(rel.Insert({2, 1}));
   EXPECT_EQ(rel.size(), 2);
-  EXPECT_EQ(rel.insert_attempts(), 3);
 }
 
 TEST(RelationTest, ContainsAndRowAccess) {
@@ -58,7 +57,6 @@ TEST(RelationTest, FullKeyProbeIsADedupLookupNotAnIndex) {
   Relation rel(2);
   for (TermId i = 0; i < 100; ++i) rel.Insert({i % 10, i});
   ASSERT_EQ(rel.telemetry().posting_blocks, 0);
-  const int64_t probes = rel.telemetry().probes;
 
   std::vector<int64_t> hit(rel.Probe({0, 1}, {2, 42}).begin(),
                            rel.Probe({0, 1}, {2, 42}).end());
@@ -71,9 +69,7 @@ TEST(RelationTest, FullKeyProbeIsADedupLookupNotAnIndex) {
   Tuple missing = {7, 18};
   rel.ProbeEach({0, 1}, missing.data(), [&](int64_t j) { each.push_back(j); });
   EXPECT_EQ(each.size(), 1u);
-  rel.EnsureIndex({0, 1});
 
-  EXPECT_EQ(rel.telemetry().probes, probes + 5);
   EXPECT_EQ(rel.telemetry().posting_blocks, 0);  // no index was built
   // A partial key still builds (and uses) its index.
   EXPECT_EQ(rel.Probe({0}, {2}).size(), 10u);
@@ -212,19 +208,6 @@ TEST(RelationTest, NestedProbeBuildingAnotherIndexIsSafe) {
   EXPECT_EQ(inner_hits, expected);
 }
 
-TEST(RelationTest, TelemetryCountsProbesAndSurvivesClear) {
-  Relation rel(2);
-  rel.Insert({1, 2});
-  const int64_t before = rel.telemetry().probes;
-  rel.Probe({0}, {1});
-  Tuple key = {2};
-  rel.ProbeEach({1}, key.data(), [](int64_t) {});
-  EXPECT_EQ(rel.telemetry().probes, before + 2);
-  rel.Clear();
-  EXPECT_EQ(rel.telemetry().probes, before + 2);  // cumulative
-  EXPECT_EQ(rel.insert_attempts(), 1);
-}
-
 TEST(RelationTest, ConcurrentLazyIndexBuildsArePublicationSafe) {
   // Several reader threads probe the same frozen relation on different
   // (and overlapping) column sets with no external synchronization:
@@ -276,9 +259,8 @@ TEST(RelationTest, ConcurrentLazyIndexBuildsArePublicationSafe) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  // Both indexes were built (and only once each): probing again is
-  // pure lookups, and the racing builds left consistent postings.
-  EXPECT_GT(rel.telemetry().probes, 0);
+  // The racing builds published the two partial-key indexes.
+  EXPECT_GT(rel.telemetry().posting_blocks, 0);
 }
 
 /// The pre-arena reference semantics: an unordered_set for dedup, a
@@ -388,42 +370,6 @@ TEST(RelationTest, VersionBumpsOnNewRowsAndClear) {
   EXPECT_EQ(rel.version(), v1);
   rel.Clear();
   EXPECT_GT(rel.version(), v1);
-}
-
-TEST(RelationTest, CompactPostingsPreservesProbeResultsAndOrder) {
-  // Interleave two key ranges so their posting chains fragment: rows of
-  // each key land in blocks separated by the other keys' blocks.
-  Relation rel(2);
-  for (TermId i = 0; i < 4000; ++i) rel.Insert({i % 7, i});
-  std::vector<std::vector<int64_t>> before(7);
-  for (TermId k = 0; k < 7; ++k) {
-    before[k].assign(rel.Probe({0}, {k}).begin(), rel.Probe({0}, {k}).end());
-    ASSERT_FALSE(before[k].empty());
-  }
-  // Also fragment a second index over the same pool.
-  Tuple key1 = {11};
-  rel.ProbeEach({1}, key1.data(), [](int64_t) {});
-
-  const int64_t pool_before = rel.telemetry().posting_blocks;
-  Relation::CompactionStats stats = rel.CompactPostings();
-  EXPECT_EQ(stats.blocks_before, pool_before);
-  EXPECT_GT(stats.chains, 0);
-  EXPECT_GT(stats.moved_blocks, 0);  // interleaving fragmented the chains
-  EXPECT_LE(stats.blocks_after, stats.blocks_before);
-  EXPECT_EQ(rel.telemetry().posting_blocks, stats.blocks_after);
-  EXPECT_EQ(rel.telemetry().compactions, 1);
-
-  for (TermId k = 0; k < 7; ++k) {
-    std::vector<int64_t> after(rel.Probe({0}, {k}).begin(),
-                               rel.Probe({0}, {k}).end());
-    EXPECT_EQ(after, before[k]) << "key " << k;
-  }
-  // The relation stays fully usable: inserts extend compacted chains.
-  EXPECT_TRUE(rel.Insert({3, 9999}));
-  std::vector<int64_t> extended(rel.Probe({0}, {3}).begin(),
-                                rel.Probe({0}, {3}).end());
-  ASSERT_EQ(extended.size(), before[3].size() + 1);
-  EXPECT_EQ(extended.back(), rel.num_rows() - 1);
 }
 
 }  // namespace

@@ -112,8 +112,7 @@ TEST(SccScheduleTest, StratifiedAgreesWithMonolithicAsSets) {
 }
 
 /// Schedule telemetry: a multi-SCC program splits into more strata
-/// than one, and the merged stats carry every stratum's work,
-/// storage counters included.
+/// than one, and the merged stats carry every stratum's work.
 TEST(SccScheduleTest, ScheduleStatsReportFanOut) {
   std::mt19937 rng(7);
   Database db;
@@ -126,8 +125,7 @@ TEST(SccScheduleTest, ScheduleStatsReportFanOut) {
   EXPECT_GE(num_sccs, 4);  // >= 2 chains + sg + scsg + top
   EXPECT_GT(stats.iterations, 0);
   EXPECT_GT(stats.total_derived, 0);
-  EXPECT_GT(stats.storage.probes, 0);
-  EXPECT_GT(stats.storage.arena_bytes, 0);
+  EXPECT_GT(stats.counters.tuples_considered, 0);
 }
 
 /// A schedule token cancelled before the first stratum stops the

@@ -288,6 +288,31 @@ TEST(ServiceTest, CsvLoadIntoAnIdbPredicateInvalidatesItsCachedQuery) {
   EXPECT_EQ(Flatten(after), "b;");
 }
 
+TEST(ServiceTest, CsvLoadRejectsAnArityBelowOne) {
+  const std::string tag = StrCat("cs_csv_arity_", ::getpid());
+  const std::string dir = StrCat(::testing::TempDir(), tag);
+  const std::string csv = StrCat(::testing::TempDir(), tag, ".csv");
+  std::filesystem::remove_all(dir);
+  std::ofstream(csv) << "a,b\n";
+  {
+    QueryService service;
+    DurabilityOptions durability;
+    durability.data_dir = dir;
+    durability.wal.sync = WalSyncPolicy::kNone;
+    ASSERT_TRUE(service.EnableDurability(durability).ok());
+    const int64_t preds = service.db().program().preds().size();
+    for (int arity : {0, -1}) {
+      StatusOr<int64_t> loaded = service.LoadCsv("p", arity, csv);
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << "arity " << arity;
+    }
+    EXPECT_EQ(service.db().program().preds().size(), preds);
+    EXPECT_EQ(service.durability_stats().wal_records, 0);
+  }
+  std::remove(csv.c_str());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ServiceTest, RuleUpdateDropsBothCaches) {
   QueryService service;
   SeedChain(&service, 5);
@@ -402,22 +427,6 @@ TEST(ServiceTest, PreCancelledTokenReturnsCancelled) {
   QueryResponse response = service.Query("?- tc(a0, Y).", request);
   EXPECT_EQ(response.status.code(), StatusCode::kCancelled);
   EXPECT_GT(service.stats().cancelled, 0);
-}
-
-TEST(ServiceTest, CompactsReadMostlyRelationsOnce) {
-  ServiceOptions options;
-  options.compact_read_mostly = true;
-  QueryService service(options);
-  SeedChain(&service, 200);
-
-  ASSERT_TRUE(service.Query("?- tc(a0, Y).").status.ok());
-  ServiceStats stats = service.stats();
-  EXPECT_GE(stats.compacted_relations, 1);  // edge (and maybe tc)
-  const int64_t compacted = stats.compacted_relations;
-
-  // Further cached queries against the same relations do not recompact.
-  ASSERT_TRUE(service.Query("?- tc(a1, Y).").status.ok());
-  EXPECT_EQ(service.stats().compacted_relations, compacted);
 }
 
 TEST(ServiceTest, ConcurrentReadersWithWriterStayConsistent) {

@@ -1,6 +1,6 @@
 // WAL framing and scanning: CRC32 vectors, append/scan roundtrips,
 // torn-tail tolerance vs. mid-log corruption errors, segment rotation
-// and deletion.
+// and deletion, and CRC-resealed mutants recovered through the service.
 
 #include "storage/wal.h"
 
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "service/query_service.h"
 #include "storage/crc32.h"
 #include "storage/log_record.h"
 
@@ -431,6 +432,131 @@ TEST_F(WalTest, SyncPoliciesCountFsyncs) {
     ASSERT_TRUE((*wal)->Append(std::move(record)).ok());
     EXPECT_EQ((*wal)->stats().syncs, 0);
   }
+}
+
+/// The payloads of every frame of a segment file, in order.
+std::vector<std::string> SplitFrames(const std::string& segment) {
+  std::vector<std::string> payloads;
+  for (size_t at = 0; at + 8 <= segment.size();) {
+    wire::Reader header{std::string_view(segment).substr(at, 8)};
+    uint32_t length = 0;
+    uint32_t crc = 0;
+    header.ReadU32(&length);
+    header.ReadU32(&crc);
+    payloads.push_back(segment.substr(at + 8, length));
+    at += 8 + length;
+  }
+  return payloads;
+}
+
+/// Frames `payloads` again, each with its own length and a fresh CRC.
+std::string Reseal(const std::vector<std::string>& payloads) {
+  std::string segment;
+  for (const std::string& payload : payloads) {
+    wire::PutU32(&segment, static_cast<uint32_t>(payload.size()));
+    wire::PutU32(&segment, Crc32(payload));
+    segment += payload;
+  }
+  return segment;
+}
+
+/// Seeded byte mutations of a data dir's WAL segment (update and csv
+/// records), each frame resealed so the CRC gate passes and the record
+/// decoder and replay are reached: every recovery must come back as a
+/// Status or a recovered service (run under the asan preset for memory
+/// errors).
+TEST_F(WalTest, ResealedMutationsRecoverOrReturnAStatus) {
+  const std::string base = dir_ + "/base";
+  const std::string csv = dir_ + "/person.csv";
+  std::ofstream(csv) << "alice,30\nbob,40\n";
+  DurabilityOptions options;
+  options.wal.sync = WalSyncPolicy::kNone;
+  options.data_dir = base;
+  {
+    QueryService service;
+    ASSERT_TRUE(service.EnableDurability(options).ok());
+    ASSERT_TRUE(service.Update("tc(X, Y) :- e(X, Y).\n"
+                               "tc(X, Y) :- e(X, Z), tc(Z, Y).\n")
+                    .status.ok());
+    ASSERT_TRUE(service.Update("e(a, b). e(b, c).").status.ok());
+    ASSERT_TRUE(service.LoadCsv("person", 2, csv).ok());
+    ASSERT_TRUE(service.Update("e(c, d).").status.ok());
+  }
+  std::vector<WalSegment> segments = ListWalSegments(base);
+  ASSERT_EQ(segments.size(), 1u);
+  const std::string name = fs::path(segments[0].path).filename().string();
+  std::string bytes;
+  {
+    std::ifstream in(segments[0].path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const std::vector<std::string> payloads = SplitFrames(bytes);
+  ASSERT_EQ(payloads.size(), 4u);
+  ASSERT_EQ(Reseal(payloads), bytes);
+
+  // Recovers `payloads`, resealed, from a fresh data dir.
+  auto recover = [&](const std::vector<std::string>& frames) {
+    const std::string dir = dir_ + "/mutant";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::ofstream(dir + "/" + name, std::ios::binary) << Reseal(frames);
+    DurabilityOptions mutant = options;
+    mutant.data_dir = dir;
+    QueryService service;
+    return service.EnableDurability(mutant).status();
+  };
+  ASSERT_TRUE(recover(payloads).ok());
+
+  // The csv record with its arity set to 0xFFFFFFFF.
+  {
+    std::vector<std::string> frames = payloads;
+    StatusOr<WalRecord> record = DecodeWalRecord(frames[2]);
+    ASSERT_TRUE(record.ok()) << record.status();
+    ASSERT_EQ(record->type, WalRecordType::kCsvLoad);
+    const size_t arity_at = 8 + 1 + 4 + record->pred_name.size();
+    frames[2].replace(arity_at, 4, std::string(4, '\xFF'));
+    Status status = recover(frames);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("arity must be >= 1"), std::string::npos)
+        << status;
+  }
+
+  uint64_t rng = 0x2545f4914f6cdd1dULL;
+  auto next = [&rng](uint64_t bound) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (rng >> 33) % bound;
+  };
+  constexpr int kMutants = 2000;
+  int rejected = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::vector<std::string> frames = payloads;
+    const int edits = 1 + static_cast<int>(next(3));
+    for (int e = 0; e < edits; ++e) {
+      std::string& bad = frames[next(frames.size())];
+      if (bad.empty()) continue;
+      const size_t at = next(bad.size());
+      switch (next(4)) {
+        case 0:  // one bit
+          bad[at] = static_cast<char>(bad[at] ^ (1 << next(8)));
+          break;
+        case 1:  // one byte
+          bad[at] = static_cast<char>(next(256));
+          break;
+        case 2:  // a huge little-endian count
+          for (size_t i = at; i < bad.size() && i < at + 4; ++i) {
+            bad[i] = static_cast<char>(0xFF);
+          }
+          break;
+        default:  // truncation
+          bad.resize(at);
+          break;
+      }
+    }
+    if (!recover(frames).ok()) ++rejected;
+  }
+  EXPECT_GT(rejected, kMutants / 2);
+  EXPECT_LT(rejected, kMutants);  // some mutants still replay cleanly
 }
 
 }  // namespace

@@ -51,8 +51,9 @@
 // gracefully: stop accepting, drain in-flight requests, fsync the WAL,
 // exit 0.
 //
-// Any other argument starting with "--" is rejected with the usage
-// line (exit 1) before recovery or serving starts.
+// Any other argument starting with "--", and a numeric flag whose value
+// is not a whole number in range, is rejected with the usage line
+// (exit 1) before recovery or serving starts.
 //
 // Exit status: nonzero when any statement failed while loading files
 // (command line or :load) or while reading non-interactive stdin, so
@@ -61,8 +62,8 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -84,6 +85,20 @@ constexpr const char* kUsage =
     "            [--slow-query-ms=N] [--slow-query-dir=DIR] [--trace]\n"
     "            [program.dl ...]\n";
 
+constexpr int64_t kMaxPort = 65535;
+/// Upper bound of --net-workers: each worker is an OS thread.
+constexpr int64_t kMaxNetWorkers = 1024;
+
+/// Parses the value of numeric flag `flag` strictly (see ParseInt);
+/// on a bad value prints the error and the usage line.
+bool FlagValue(std::string_view flag, std::string_view value, int64_t min,
+               int64_t max, int64_t* out) {
+  if (ParseInt(value, min, max, out)) return true;
+  std::printf("error: invalid value for %.*s\n%s",
+              static_cast<int>(flag.size()), flag.data(), kUsage);
+  return false;
+}
+
 int Run(int argc, char** argv) {
   int serve_port = -1;
   ServerOptions server_options;
@@ -94,10 +109,19 @@ int Run(int argc, char** argv) {
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    // "--NAME=VALUE": `flag` is "--NAME" (all of `arg` without '=').
+    const size_t eq = arg.find('=');
+    const std::string_view flag = std::string_view(arg).substr(0, eq);
+    const std::string_view value =
+        eq == std::string::npos ? std::string_view()
+                                : std::string_view(arg).substr(eq + 1);
+    int64_t n = 0;
     if (arg == "--serve" && i + 1 < argc) {
-      serve_port = std::atoi(argv[++i]);
+      if (!FlagValue(flag, argv[++i], 0, kMaxPort, &n)) return 1;
+      serve_port = static_cast<int>(n);
     } else if (StartsWith(arg, "--serve=")) {
-      serve_port = std::atoi(arg.c_str() + 8);
+      if (!FlagValue(flag, value, 0, kMaxPort, &n)) return 1;
+      serve_port = static_cast<int>(n);
     } else if (StartsWith(arg, "--data-dir=")) {
       durability.data_dir = arg.substr(11);
     } else if (StartsWith(arg, "--wal-sync=")) {
@@ -108,11 +132,16 @@ int Run(int argc, char** argv) {
       }
       durability.wal.sync = *policy;
     } else if (StartsWith(arg, "--wal-sync-interval=")) {
-      durability.wal.sync_interval_ms = std::atoi(arg.c_str() + 20);
+      if (!FlagValue(flag, value, 0, INT32_MAX, &n)) return 1;
+      durability.wal.sync_interval_ms = static_cast<int>(n);
     } else if (StartsWith(arg, "--snapshot-every=")) {
-      durability.snapshot_every_records = std::atoll(arg.c_str() + 17);
+      if (!FlagValue(flag, value, 0, INT64_MAX,
+                     &durability.snapshot_every_records)) {
+        return 1;
+      }
     } else if (StartsWith(arg, "--slow-query-ms=")) {
-      slow_query_ms = std::atoll(arg.c_str() + 16);
+      if (!FlagValue(flag, value, 0, INT64_MAX, &n)) return 1;
+      slow_query_ms = n;
     } else if (StartsWith(arg, "--slow-query-dir=")) {
       slow_query_dir = arg.substr(17);
     } else if (arg == "--trace") {
@@ -120,15 +149,17 @@ int Run(int argc, char** argv) {
     } else if (StartsWith(arg, "--listen-addr=")) {
       server_options.listen_addr = arg.substr(14);
     } else if (StartsWith(arg, "--listen-backlog=")) {
-      server_options.listen_backlog = std::atoi(arg.c_str() + 17);
+      if (!FlagValue(flag, value, 1, INT32_MAX, &n)) return 1;
+      server_options.listen_backlog = static_cast<int>(n);
     } else if (StartsWith(arg, "--net-workers=")) {
-      server_options.workers = std::atoi(arg.c_str() + 14);
+      if (!FlagValue(flag, value, 0, kMaxNetWorkers, &n)) return 1;
+      server_options.workers = static_cast<int>(n);
     } else if (StartsWith(arg, "--net-queue=")) {
-      server_options.queue_capacity =
-          static_cast<size_t>(std::atoll(arg.c_str() + 12));
+      if (!FlagValue(flag, value, 1, INT64_MAX, &n)) return 1;
+      server_options.queue_capacity = static_cast<size_t>(n);
     } else if (StartsWith(arg, "--max-line=")) {
-      server_options.max_line_bytes =
-          static_cast<size_t>(std::atoll(arg.c_str() + 11));
+      if (!FlagValue(flag, value, 0, INT64_MAX, &n)) return 1;
+      server_options.max_line_bytes = static_cast<size_t>(n);
     } else if (arg == "--help" || arg == "-h") {
       std::printf("%s%s", kUsage, Session::HelpText());
       return 0;
@@ -227,9 +258,16 @@ int Run(int argc, char** argv) {
         std::printf("%% already serving on port %d\n", server->port());
         continue;
       }
+      int64_t requested = 0;
+      std::string_view arg = std::string_view(line).substr(6);
+      while (!arg.empty() && arg.front() == ' ') arg.remove_prefix(1);
+      if (!ParseInt(arg, 0, kMaxPort, &requested)) {
+        std::printf("usage: :serve PORT\n");
+        ++stdin_errors;
+        continue;
+      }
       server = std::make_unique<TcpServer>(&service, server_options);
-      StatusOr<int> port =
-          server->Start(std::atoi(line.c_str() + 6));
+      StatusOr<int> port = server->Start(static_cast<int>(requested));
       if (!port.ok()) {
         std::printf("error: %s\n", port.status().ToString().c_str());
         server.reset();
