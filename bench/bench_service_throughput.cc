@@ -176,7 +176,6 @@ void ReportBatch(benchmark::State& state, const BatchReport& report,
   state.counters["p50_ms"] = report.p50_ms;
   state.counters["p99_ms"] = report.p99_ms;
   state.counters["result_hit_rate"] = report.result_hit_rate;
-  state.counters["plan_hit_rate"] = report.plan_hit_rate;
   state.counters["answer_rows"] = static_cast<double>(report.answer_rows);
 }
 

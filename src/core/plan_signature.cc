@@ -75,32 +75,6 @@ std::optional<CanonicalQueryText> CanonicalizeQueryText(
   return out;
 }
 
-std::string PlanSignature(const Program& program, const Query& query) {
-  const TermPool& pool = program.pool();
-  std::string sig;
-  std::unordered_map<TermId, size_t> var_index;
-  for (const Atom& goal : query.goals) {
-    if (!sig.empty()) sig.push_back(',');
-    sig += program.preds().Display(goal.pred);
-    sig.push_back('(');
-    for (size_t a = 0; a < goal.args.size(); ++a) {
-      if (a > 0) sig.push_back(';');
-      TermId arg = goal.args[a];
-      if (pool.IsVariable(arg)) {
-        auto [it, inserted] = var_index.emplace(arg, var_index.size());
-        (void)inserted;
-        sig += StrCat("V", it->second);
-      } else if (pool.IsGround(arg)) {
-        sig.push_back('b');
-      } else {
-        sig.push_back('s');  // non-ground compound: planner falls back
-      }
-    }
-    sig.push_back(')');
-  }
-  return sig;
-}
-
 std::vector<PredId> ReachablePreds(const Program& program,
                                    const Query& query) {
   std::unordered_set<PredId> seen;

@@ -10,11 +10,10 @@
 
 namespace chainsplit {
 
-/// Canonical forms of queries, used as cache keys by the query service
-/// (src/service/): two queries share a *result* key iff they are the
-/// same query up to variable renaming and whitespace, and share a
-/// *plan* signature iff the planner makes identical decisions for them
-/// (same shape, constants abstracted to their boundness).
+/// Result-cache keys and dependencies for the query service
+/// (src/service/): two queries share a key iff they are the same query
+/// up to variable renaming and whitespace, and a cached result depends
+/// on the relations its query can read.
 
 /// Purely lexical canonical form of one query statement. Variables are
 /// renamed V0, V1, ... by first occurrence; whitespace and comments
@@ -32,15 +31,6 @@ struct CanonicalQueryText {
 /// commands, or trailing garbage after the terminating dot).
 std::optional<CanonicalQueryText> CanonicalizeQueryText(
     std::string_view text);
-
-/// Plan signature of a parsed query: per-goal `pred/arity` plus an
-/// argument shape where variables are numbered by first occurrence
-/// (V0, V1, ...), ground arguments abstract to `b` and non-ground
-/// compounds to `s`. Two queries with equal signatures present the
-/// planner with the same adorned, rectified problem — only the bound
-/// *values* differ — so classification, chain compilation and the
-/// technique choice can be reused across them.
-std::string PlanSignature(const Program& program, const Query& query);
 
 /// Every non-builtin predicate whose relation the evaluation of
 /// `query` may read: the query's own goal predicates plus the body

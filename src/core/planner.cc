@@ -126,9 +126,9 @@ class PlanRun {
     AppendIdbFacts(*db_, &rectified_);
 
     if (options_.force.has_value()) {
-      // Forced techniques (benchmarks, plan-cache replays) skip
-      // classification entirely: RunMagic/RunChain revalidate
-      // applicability themselves and fail on a mismatch.
+      // Forced techniques (benchmarks and tests) skip classification
+      // entirely: RunMagic/RunChain revalidate applicability
+      // themselves and fail on a mismatch.
       switch (*options_.force) {
         case Technique::kMagicSets:
           return RunMagic(/*use_gate=*/false);

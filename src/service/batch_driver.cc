@@ -86,14 +86,6 @@ BatchReport RunBatchWorkload(QueryService* service,
                             before.result_cache_hits) /
         static_cast<double>(result_lookups);
   }
-  const int64_t plan_lookups =
-      (after.plan_cache_hits - before.plan_cache_hits) +
-      (after.plan_cache_misses - before.plan_cache_misses);
-  if (plan_lookups > 0) {
-    report.plan_hit_rate =
-        static_cast<double>(after.plan_cache_hits - before.plan_cache_hits) /
-        static_cast<double>(plan_lookups);
-  }
   return report;
 }
 

@@ -36,10 +36,9 @@ struct BatchReport {
   double qps = 0;  // query+update ops per second, wall clock
   double p50_ms = 0;
   double p99_ms = 0;
-  /// Cache-hit fractions over this run (delta of the service
+  /// Result-cache hit fraction over this run (delta of the service
   /// counters), in [0, 1].
   double result_hit_rate = 0;
-  double plan_hit_rate = 0;
 };
 
 /// Runs `ops` with `options.num_clients` concurrent clients, one

@@ -11,16 +11,14 @@
 namespace chainsplit {
 namespace {
 
-/// LRU capacities (entries) of the plan and result caches.
-constexpr size_t kPlanCacheCapacity = 128;
+/// LRU capacity (entries) of the result cache.
 constexpr size_t kResultCacheCapacity = 1024;
 
 }  // namespace
 
-template <typename V>
-void QueryService::LruCache<V>::Put(std::string key,
-                                    std::shared_ptr<V> value,
-                                    size_t capacity) {
+void QueryService::LruCache::Put(std::string key,
+                                std::shared_ptr<ResultEntry> value,
+                                size_t capacity) {
   auto it = index.find(key);
   if (it != index.end()) {
     it->second->value = std::move(value);
@@ -35,8 +33,7 @@ void QueryService::LruCache<V>::Put(std::string key,
   }
 }
 
-template <typename V>
-void QueryService::LruCache<V>::Erase(std::string_view key) {
+void QueryService::LruCache::Erase(std::string_view key) {
   auto it = index.find(key);
   if (it == index.end()) return;
   order.erase(it->second);
@@ -50,12 +47,6 @@ void QueryService::InitMetrics() {
       "csdd_queries_total", "Query statements evaluated (incl. embedded)");
   c_.updates = registry_.AddCounter("csdd_updates_total",
                                     "Update statements applied");
-  c_.plan_cache_hits = registry_.AddCounter(
-      "csdd_plan_cache_lookups_total", "Plan cache lookups by result",
-      {{"result", "hit"}});
-  c_.plan_cache_misses = registry_.AddCounter(
-      "csdd_plan_cache_lookups_total", "Plan cache lookups by result",
-      {{"result", "miss"}});
   c_.result_cache_hits = registry_.AddCounter(
       "csdd_result_cache_lookups_total", "Result cache lookups by result",
       {{"result", "hit"}});
@@ -392,8 +383,6 @@ ServiceStats QueryService::stats() const {
   ServiceStats out;
   out.queries = c_.queries->Value();
   out.updates = c_.updates->Value();
-  out.plan_cache_hits = c_.plan_cache_hits->Value();
-  out.plan_cache_misses = c_.plan_cache_misses->Value();
   out.result_cache_hits = c_.result_cache_hits->Value();
   out.result_cache_misses = c_.result_cache_misses->Value();
   out.result_cache_invalidations = c_.result_cache_invalidations->Value();
@@ -459,78 +448,8 @@ std::vector<std::pair<PredId, uint64_t>> QueryService::SnapshotDeps(
   return deps;
 }
 
-Status QueryService::RunPlanner(EvalDb* eval_db,
-                                const ::chainsplit::Query& query,
-                                const std::string& signature,
-                                const CancelToken* cancel, Trace* trace,
-                                QueryResponse* response,
-                                QueryResult* result) {
-  PlannerOptions planner;
-  planner.cancel = cancel;
-  planner.trace = trace;
-  planner.rectified = RectifiedRules();
-
-  std::shared_ptr<PlanEntry> plan;
-  if (!signature.empty()) {
-    TraceSpan lookup_span(trace, "plan_cache_lookup");
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    plan = plan_cache_.Get(signature);
-    if (plan != nullptr && plan->rules_epoch != rules_epoch_) {
-      // The technique was chosen under different rules: forcing it now
-      // could pick a plan the current program makes wrong or
-      // inapplicable. Rule updates clear the whole cache, so a stale
-      // entry should be unreachable — revalidate anyway (defense in
-      // depth; TestOnlyInjectPlanEntry exercises this path).
-      plan_cache_.Erase(signature);
-      plan = nullptr;
-    }
-    if (plan != nullptr) {
-      c_.plan_cache_hits->Inc();
-    } else {
-      c_.plan_cache_misses->Inc();
-    }
-    lookup_span.Attr("hit", plan != nullptr ? int64_t{1} : int64_t{0});
-  }
-  if (plan != nullptr) {
-    planner.force = plan->technique;
-    response->plan_cache_hit = true;
-  }
-
-  Status status = EvaluateQueryInto(eval_db, query, planner, result);
-  if (plan != nullptr && !status.ok() &&
-      status.code() != StatusCode::kDeadlineExceeded &&
-      status.code() != StatusCode::kCancelled) {
-    // The cached technique stopped being applicable (e.g. a pushed
-    // constraint no longer deducible after updates): drop the entry
-    // and re-plan from scratch.
-    {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      plan_cache_.Erase(signature);
-    }
-    response->plan_cache_hit = false;
-    planner.force.reset();
-    status = EvaluateQueryInto(eval_db, query, planner, result);
-    plan = nullptr;
-  }
-  if (status.ok() && plan == nullptr && !signature.empty()) {
-    auto entry = std::make_shared<PlanEntry>();
-    entry->technique = result->technique;
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    // The caller holds db_mu_ (at least shared), so rules_epoch_
-    // cannot have moved since the evaluation started: stamping the
-    // current epoch stamps the epoch the technique was chosen under.
-    entry->rules_epoch = rules_epoch_;
-    plan_cache_.Put(signature, std::move(entry), kPlanCacheCapacity);
-  }
-  if (response->plan_cache_hit) {
-    result->plan += "plan: technique reused from plan cache\n";
-  }
-  return status;
-}
-
 QueryResponse QueryService::EvaluateOn(EvalDb* eval_db,
                                        const ::chainsplit::Query& query,
-                                       const std::string& signature,
                                        const RequestOptions& request) {
   QueryResponse response;
 
@@ -538,12 +457,14 @@ QueryResponse QueryService::EvaluateOn(EvalDb* eval_db,
   const bool has_deadline = request.deadline.count() > 0;
   if (has_deadline) token.SetTimeout(request.deadline);
   token.set_parent(request.cancel);
-  const CancelToken* cancel =
+  PlannerOptions planner;
+  planner.cancel =
       (has_deadline || request.cancel != nullptr) ? &token : nullptr;
+  planner.trace = request.trace;
+  planner.rectified = RectifiedRules();
 
   QueryResult result;
-  response.status = RunPlanner(eval_db, query, signature, cancel,
-                               request.trace, &response, &result);
+  response.status = EvaluateQueryInto(eval_db, query, planner, &result);
   response.technique = result.technique;
   response.plan = std::move(result.plan);
   response.seminaive_stats = result.seminaive_stats;
@@ -580,15 +501,8 @@ QueryResponse QueryService::EvaluateUncached(
     response.status = parsed.status();
     return response;
   }
-  const ::chainsplit::Query& query = *parsed;
-
-  // Bypass mode skips the plan cache too (empty signature): it is the
-  // uncached reference path.
-  response = EvaluateOn(
-      eval_db, query,
-      request.bypass_cache ? std::string() : PlanSignature(program, query),
-      request);
-  if (want_deps) *deps = SnapshotDeps(ReachablePreds(program, query));
+  response = EvaluateOn(eval_db, *parsed, request);
+  if (want_deps) *deps = SnapshotDeps(ReachablePreds(program, *parsed));
   return response;
 }
 
@@ -753,22 +667,6 @@ QueryResponse QueryService::QueryImpl(std::string_view text,
   return response;
 }
 
-Status QueryService::TestOnlyInjectPlanEntry(std::string_view query_text,
-                                             Technique technique,
-                                             uint64_t rules_epoch) {
-  std::unique_lock<std::shared_mutex> db_lock(db_mu_);
-  StatusOr<::chainsplit::Query> parsed =
-      ParseQueryOnly(query_text, &db_.program());
-  if (!parsed.ok()) return parsed.status();
-  auto entry = std::make_shared<PlanEntry>();
-  entry->technique = technique;
-  entry->rules_epoch = rules_epoch;
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  plan_cache_.Put(PlanSignature(db_.program(), *parsed), std::move(entry),
-                  kPlanCacheCapacity);
-  return Status::Ok();
-}
-
 UpdateResponse QueryService::Update(std::string_view text,
                                     const RequestOptions& request) {
   UpdateResponse response =
@@ -826,9 +724,8 @@ UpdateResponse QueryService::UpdateInternal(std::string_view text,
     }
     std::lock_guard<std::mutex> lock(cache_mu_);
     ++rules_epoch_;
-    // New rules can change any derivable answer and any plan choice.
+    // New rules can change any derivable answer.
     result_cache_.Clear();
-    plan_cache_.Clear();
   }
   for (size_t i = queries_before; run_queries && i < program.queries().size();
        ++i) {
@@ -837,8 +734,7 @@ UpdateResponse QueryService::UpdateInternal(std::string_view text,
     // exclusive lock we already hold): the base never accumulates
     // derived evaluation relations.
     DatabaseOverlay overlay(&db_);
-    QueryResponse qr =
-        EvaluateOn(&overlay, query, PlanSignature(program, query), request);
+    QueryResponse qr = EvaluateOn(&overlay, query, request);
     DatabaseOverlay::Telemetry scratch = overlay.telemetry();
     c_.queries->Inc();
     c_.exclusive_evals->Inc();

@@ -38,7 +38,7 @@ struct RequestOptions {
   /// Optional caller-owned cancellation token (e.g. the server's
   /// shutdown token); chained under the per-request deadline token.
   const CancelToken* cancel = nullptr;
-  /// Skip both caches and do not populate them — the uncached
+  /// Skip the result cache and do not populate it — the uncached
   /// reference path used by differential tests and baselines.
   bool bypass_cache = false;
   /// Optional caller-owned trace sink. When null the service makes its
@@ -63,7 +63,6 @@ struct QueryResponse {
 
   Technique technique = Technique::kTopDown;
   std::string plan;
-  bool plan_cache_hit = false;
   bool result_cache_hit = false;
 
   /// Evaluator work measures. On kDeadlineExceeded/kCancelled these
@@ -129,8 +128,6 @@ struct DurabilityStats {
 struct ServiceStats {
   int64_t queries = 0;
   int64_t updates = 0;
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_misses = 0;
   int64_t result_cache_hits = 0;
   int64_t result_cache_misses = 0;
   /// Result entries found but dropped because a dependency's version
@@ -174,18 +171,19 @@ struct ServiceStats {
 /// consistent by construction — no writer can hold the exclusive lock
 /// while the snapshot is taken.
 ///
-/// Two caches amortize repeated work:
-///  * the plan cache maps a PlanSignature (query shape, constants
-///    abstracted to boundness) to the technique the planner chose, and
-///    shares one rectification of the rules per rules epoch;
-///  * the result cache maps the lexically canonicalized query text to
-///    fully formatted answers, validated against per-relation version
-///    counters (epochs) of every relation the query can read.
+/// Every uncached query is planned from the database as it is now:
+/// the planner classifies the query and runs Alg. 3.1's gate on live
+/// statistics. What queries share is one rectification of the rules
+/// per rules epoch, and the result cache, which maps the lexically
+/// canonicalized query text to fully formatted answers, validated
+/// against per-relation version counters (epochs) of every relation
+/// the query can read.
 ///
 /// Invalidation: fact inserts bump the owning relation's version, so a
 /// cached result is revalidated by comparing its dependency snapshot;
-/// rule changes bump the service-wide rules epoch, which drops both
-/// caches wholesale. Both caches are bounded LRUs (query_service.cc).
+/// rule changes bump the service-wide rules epoch, which drops the
+/// result cache wholesale and the rectified rules with it. The result
+/// cache is a bounded LRU (query_service.cc).
 class QueryService {
  public:
   QueryService();
@@ -218,14 +216,6 @@ class QueryService {
   /// setup (seeding facts before serving) and tests.
   Database& db() { return db_; }
 
-  /// Test-only: plants a plan-cache entry for `query_text` stamped
-  /// with `rules_epoch`, simulating an entry recorded before a rule
-  /// update (the normal paths clear the cache on epoch bumps, so the
-  /// stale state is unreachable without this hook). Regression tests
-  /// for the epoch revalidation in RunPlanner use it.
-  Status TestOnlyInjectPlanEntry(std::string_view query_text,
-                                 Technique technique, uint64_t rules_epoch);
-
   /// Test-only: runs `hook` inside QueryImpl after evaluation releases
   /// the db lock but before the result-cache insert — the window where
   /// a concurrent rule update can bump the rules epoch. Regression
@@ -243,7 +233,7 @@ class QueryService {
 
   /// Parses `text` (facts, rules, queries — e.g. a whole program
   /// file), inserts the new facts, and runs any embedded queries.
-  /// Rule additions bump the rules epoch and drop both caches.
+  /// Rule additions bump the rules epoch and drop the result cache.
   UpdateResponse Update(std::string_view text,
                         const RequestOptions& request = {});
 
@@ -304,30 +294,24 @@ class QueryService {
     BufferedStats buffered_stats;
     TopDownStats topdown_stats;
   };
-  struct PlanEntry {
-    Technique technique = Technique::kTopDown;
-    /// Epoch the technique was chosen under; RunPlanner drops entries
-    /// whose epoch is stale instead of forcing an outdated technique.
-    uint64_t rules_epoch = 0;
-  };
   /// An LRU string-keyed map: O(1) lookup, recency bump and eviction.
-  template <typename V>
   struct LruCache {
     struct Node {
       std::string key;
-      std::shared_ptr<V> value;
+      std::shared_ptr<ResultEntry> value;
     };
     std::list<Node> order;  // front = most recent
-    std::unordered_map<std::string_view, typename std::list<Node>::iterator>
+    std::unordered_map<std::string_view, std::list<Node>::iterator>
         index;
 
-    std::shared_ptr<V> Get(std::string_view key) {
+    std::shared_ptr<ResultEntry> Get(std::string_view key) {
       auto it = index.find(key);
       if (it == index.end()) return nullptr;
       order.splice(order.begin(), order, it->second);
       return it->second->value;
     }
-    void Put(std::string key, std::shared_ptr<V> value, size_t capacity);
+    void Put(std::string key, std::shared_ptr<ResultEntry> value,
+             size_t capacity);
     void Erase(std::string_view key);
     void Clear() {
       index.clear();
@@ -335,19 +319,17 @@ class QueryService {
     }
   };
 
-  /// Evaluates `query` against `eval_db`, a query-local overlay over
-  /// the base (the caller holds db_mu_, shared for a read and
-  /// exclusive for an update's embedded query), consulting the plan
-  /// cache. `signature` may be empty to
-  /// skip the plan cache (bypass mode). (The AST type is written
-  /// qualified — the Query() method shadows it in class scope.)
   /// Query() minus the observability epilogue: the public Query()
   /// wraps this with latency/outcome recording, trace finishing and
   /// the slow-query log.
   QueryResponse QueryImpl(std::string_view text,
                           const RequestOptions& request);
+  /// Plans and evaluates `query` against `eval_db`, a query-local
+  /// overlay over the base (the caller holds db_mu_, shared for a read
+  /// and exclusive for an update's embedded query), and formats the
+  /// answers. (The AST type is written qualified — the Query() method
+  /// shadows it in class scope.)
   QueryResponse EvaluateOn(EvalDb* eval_db, const ::chainsplit::Query& query,
-                           const std::string& signature,
                            const RequestOptions& request);
   /// Parse + evaluate + dependency snapshot for an uncached query;
   /// the caller holds db_mu_ shared for the whole call, which freezes
@@ -355,12 +337,6 @@ class QueryService {
   QueryResponse EvaluateUncached(
       EvalDb* eval_db, std::string_view text, const RequestOptions& request,
       bool want_deps, std::vector<std::pair<PredId, uint64_t>>* deps);
-  /// Runs the planner with `cancel` attached; retries unforced when a
-  /// cached forced technique turns out inapplicable.
-  Status RunPlanner(EvalDb* eval_db, const ::chainsplit::Query& query,
-                    const std::string& signature, const CancelToken* cancel,
-                    Trace* trace, QueryResponse* response,
-                    QueryResult* result);
   /// Rectified rules of the current epoch, computed on first use.
   /// Mutex-guarded so concurrent shared-lock evaluations can share the
   /// one rectification per epoch.
@@ -409,11 +385,11 @@ class QueryService {
   /// in an update. Lock order when both are needed: db_mu_ before
   /// cache_mu_.
   mutable std::shared_mutex db_mu_;
-  /// Guards the caches and counters; never held across evaluation.
+  /// Guards the result cache and rules_epoch_; never held across
+  /// evaluation.
   mutable std::mutex cache_mu_;
 
-  LruCache<ResultEntry> result_cache_;
-  LruCache<PlanEntry> plan_cache_;
+  LruCache result_cache_;
   uint64_t rules_epoch_ = 0;
   /// Guards rectified_/rectified_valid_ — concurrent shared-lock
   /// evaluations race to rectify first; the mutex makes it once.
@@ -430,8 +406,6 @@ class QueryService {
   struct Counters {
     Counter* queries = nullptr;
     Counter* updates = nullptr;
-    Counter* plan_cache_hits = nullptr;
-    Counter* plan_cache_misses = nullptr;
     Counter* result_cache_hits = nullptr;
     Counter* result_cache_misses = nullptr;
     Counter* result_cache_invalidations = nullptr;

@@ -41,8 +41,7 @@ void Session::AppendQueryResponse(const QueryResponse& response,
   }
   if (options_.show_plan) {
     *out += StrCat("% technique: ", TechniqueToString(response.technique),
-                   response.result_cache_hit ? " (result cache)" : "",
-                   response.plan_cache_hit ? " (plan cache)" : "", "\n");
+                   response.result_cache_hit ? " (result cache)" : "", "\n");
     *out += response.plan;
   }
   if (response.vars.empty()) {
@@ -154,8 +153,9 @@ bool Session::HandleCommand(const std::string& line, std::string* out) {
         ",\"result_cache\":{\"hits\":", s.result_cache_hits,
         ",\"misses\":", s.result_cache_misses,
         ",\"invalidations\":", s.result_cache_invalidations, "}",
-        ",\"plan_cache\":{\"hits\":", s.plan_cache_hits,
-        ",\"misses\":", s.plan_cache_misses, "}",
+        // perfbench's traced mode reads this key; ROADMAP item 1b
+        // retires it together with service.plan_hit_rate.
+        ",\"plan_cache\":{\"hits\":0,\"misses\":0}",
         ",\"evals\":{\"shared\":", s.shared_evals,
         ",\"exclusive\":", s.exclusive_evals, "}",
         ",\"overlay\":{\"relations\":", s.overlay_relations,
@@ -168,8 +168,6 @@ bool Session::HandleCommand(const std::string& line, std::string* out) {
                    "\n% result cache: ", stats.result_cache_hits, " hits, ",
                    stats.result_cache_misses, " misses, ",
                    stats.result_cache_invalidations, " invalidations\n",
-                   "% plan cache: ", stats.plan_cache_hits, " hits, ",
-                   stats.plan_cache_misses, " misses\n",
                    "% locks: ", stats.shared_evals, " shared evals, ",
                    stats.exclusive_evals, " exclusive evals\n",
                    "% overlays: ", stats.overlay_relations, " relations, ",

@@ -164,7 +164,6 @@ def main():
         for family in (
             "csdd_net_accepted_total",
             "csdd_net_bytes_total",
-            "csdd_plan_cache_lookups_total",
             "csdd_evals_total",
             "csdd_fixpoint_iterations_total",
             "csdd_storage_relations",

@@ -216,9 +216,9 @@ TEST(NetGoldenTest, ScriptedSessionTranscript) {
       "parse error: InvalidArgument: unexpected character '&' at 1:11\n.\n"
       "  p/2  2 tuples\n.\n"
       "% deadline 250 ms\n.\n"
-      "% technique: magic-sets (plan cache)\n"
+      "% technique: magic-sets\n"
+      "recursion class of tc/2: linear (function-free)\n"
       "technique: magic-sets (3 transformed rules, query tc__bf/2)\n"
-      "plan: technique reused from plan cache\n"
       "Y = c\n% 1 answer(s)\n.\n"
       "unknown command :unknowncmd \u2014 :help\n.\n"
       ".\n";

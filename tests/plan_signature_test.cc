@@ -1,4 +1,5 @@
-// Cache keys: lexical query canonicalization and planner signatures.
+// Result-cache keys and dependencies: lexical query canonicalization
+// and the predicates a query can read.
 
 #include "core/plan_signature.h"
 
@@ -64,7 +65,7 @@ TEST(CanonicalizeQueryTextTest, ConstantsKeptVerbatim) {
   EXPECT_NE(a->key, b->key);  // result keys distinguish constants
 }
 
-class PlanSignatureTest : public ::testing::Test {
+class ReachablePredsTest : public ::testing::Test {
  protected:
   // By value: the program's query vector reallocates across parses.
   Query Parse(const std::string& text) {
@@ -75,26 +76,7 @@ class PlanSignatureTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(PlanSignatureTest, AbstractsConstantsToBoundness) {
-  std::string s1 = PlanSignature(db_.program(), Parse("?- tc(a1, Y)."));
-  std::string s2 = PlanSignature(db_.program(), Parse("?- tc(a2, Z)."));
-  // Different constants and variable names, same adorned shape.
-  EXPECT_EQ(s1, s2);
-
-  EXPECT_NE(PlanSignature(db_.program(), Parse("?- tc(Y, a1).")),
-            s1);  // bf vs fb
-  EXPECT_EQ(PlanSignature(db_.program(), Parse("?- tc(41, Y).")),
-            s1);  // ints are just bound
-}
-
-TEST_F(PlanSignatureTest, VariableSharingChangesSignature) {
-  Query shared = Parse("?- p(X, X).");
-  Query distinct = Parse("?- p(X, Y).");
-  EXPECT_NE(PlanSignature(db_.program(), shared),
-            PlanSignature(db_.program(), distinct));
-}
-
-TEST_F(PlanSignatureTest, ReachablePredsFollowsRules) {
+TEST_F(ReachablePredsTest, FollowsRules) {
   Parse(
       "tc(X, Y) :- edge(X, Y).\n"
       "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"

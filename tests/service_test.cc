@@ -1,4 +1,4 @@
-// QueryService: plan/result caching, epoch invalidation, deadlines,
+// QueryService: live planning, result caching, epoch invalidation, deadlines,
 // cancellation, and concurrent readers vs. a writer — differentially
 // checked against the uncached (bypass) path.
 
@@ -84,34 +84,6 @@ TEST(ServiceTest, ResultCacheHitAndCounters) {
   EXPECT_EQ(stats.result_cache_hits, 2);
   EXPECT_EQ(stats.result_cache_misses, 1);
   EXPECT_EQ(stats.queries, 3);
-}
-
-TEST(ServiceTest, PlanCacheHitsAcrossConstants) {
-  QueryService service;
-  SeedChain(&service, 20);
-
-  QueryResponse first = service.Query("?- tc(a3, Y).");
-  ASSERT_TRUE(first.status.ok()) << first.status;
-  EXPECT_FALSE(first.plan_cache_hit);
-
-  // Different constant, same shape: plan cache hit, result cache miss.
-  QueryResponse second = service.Query("?- tc(a7, Y).");
-  ASSERT_TRUE(second.status.ok());
-  EXPECT_TRUE(second.plan_cache_hit);
-  EXPECT_FALSE(second.result_cache_hit);
-  EXPECT_EQ(second.technique, first.technique);
-
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.plan_cache_hits, 1);
-  EXPECT_EQ(stats.plan_cache_misses, 1);
-
-  // The forced (cached-plan) evaluation returns the same answers as a
-  // cache-bypassing reference run.
-  RequestOptions bypass;
-  bypass.bypass_cache = true;
-  QueryResponse reference = service.Query("?- tc(a7, Y).", bypass);
-  ASSERT_TRUE(reference.status.ok());
-  EXPECT_EQ(Flatten(second), Flatten(reference));
 }
 
 TEST(ServiceTest, FactUpdateInvalidatesDependentResults) {
@@ -313,7 +285,7 @@ TEST(ServiceTest, CsvLoadRejectsAnArityBelowOne) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ServiceTest, RuleUpdateDropsBothCaches) {
+TEST(ServiceTest, RuleUpdateDropsResultCache) {
   QueryService service;
   SeedChain(&service, 5);
   ASSERT_TRUE(service.Query("?- tc(a0, Y).").status.ok());
@@ -321,7 +293,7 @@ TEST(ServiceTest, RuleUpdateDropsBothCaches) {
   const uint64_t epoch = service.rules_epoch();
 
   // A new rule makes every node reach itself-via-loop; cached results
-  // and plans must not survive.
+  // must not survive.
   UpdateResponse rule = service.Update("tc(X, X) :- edge(X, Y).\n");
   ASSERT_TRUE(rule.status.ok());
   EXPECT_EQ(rule.new_rules, 1);
@@ -329,8 +301,106 @@ TEST(ServiceTest, RuleUpdateDropsBothCaches) {
 
   QueryResponse after = service.Query("?- tc(a0, Y).");
   EXPECT_FALSE(after.result_cache_hit);
-  EXPECT_FALSE(after.plan_cache_hit);
   EXPECT_EQ(after.rows.size(), 6u);  // a0..a5: the loop rule adds a0
+}
+
+/// scsg over 60 people in a binary family tree (p<i>'s parent is
+/// p<(i-1)/2>, the two children of a parent are siblings), with one
+/// same_country row per person: same_country(p<i>, p<i>).
+std::string ScsgPeople() {
+  std::string text =
+      "scsg(X, Y) :- sibling(X, Y).\n"
+      "scsg(X, Y) :- parent(X, X1), same_country(X1, Y1), parent(Y, Y1),\n"
+      "              scsg(X1, Y1).\n";
+  for (int i = 0; i < 60; ++i) {
+    if (i > 0) text += StrCat("parent(p", i, ", p", (i - 1) / 2, ").\n");
+    if (i % 2 == 1 && i + 1 < 60) {
+      text += StrCat("sibling(p", i, ", p", i + 1, ").\n");
+      text += StrCat("sibling(p", i + 1, ", p", i, ").\n");
+    }
+    text += StrCat("same_country(p", i, ", p", i, ").\n");
+  }
+  return text;
+}
+
+/// The other 3,540 same_country pairs: everyone shares one country.
+std::string ScsgOneCountry() {
+  std::string text;
+  for (int i = 0; i < 60; ++i) {
+    for (int j = 0; j < 60; ++j) {
+      if (i != j) text += StrCat("same_country(p", i, ", p", j, ").\n");
+    }
+  }
+  return text;
+}
+
+std::vector<std::vector<std::string>> SortedRows(const QueryResponse& r) {
+  std::vector<std::vector<std::string>> rows = r.rows;
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(ServiceTest, SplitDecisionFollowsFactLoads) {
+  // Alg. 3.1 decides from the data: one same_country row per person
+  // gives the linkage an expansion ratio of 1 (follow the chain); after
+  // the load it is 60, above the split threshold.
+  QueryService service;
+  ASSERT_TRUE(service.Update(ScsgPeople()).status.ok());
+  QueryResponse before = service.Query("?- scsg(p40, Y).");
+  ASSERT_TRUE(before.status.ok()) << before.status;
+  EXPECT_EQ(before.technique, Technique::kMagicSets) << before.plan;
+
+  UpdateResponse load = service.Update(ScsgOneCountry());
+  ASSERT_TRUE(load.status.ok()) << load.status;
+  EXPECT_EQ(load.new_facts, 3540);
+
+  QueryResponse after = service.Query("?- scsg(p41, Y).");
+  ASSERT_TRUE(after.status.ok()) << after.status;
+  EXPECT_EQ(after.technique, Technique::kChainSplitMagic) << after.plan;
+
+  QueryService fresh;
+  ASSERT_TRUE(fresh.Update(ScsgPeople() + ScsgOneCountry()).status.ok());
+  QueryResponse reference = fresh.Query("?- scsg(p41, Y).");
+  ASSERT_TRUE(reference.status.ok()) << reference.status;
+  EXPECT_EQ(after.technique, reference.technique);
+  EXPECT_FALSE(after.rows.empty());
+  EXPECT_EQ(SortedRows(after), SortedRows(reference));
+}
+
+/// The plan's "technique: ..." line, which names the number of
+/// transformed rules.
+std::string TechniqueLine(const std::string& plan) {
+  size_t start = plan.find("technique: ");
+  if (start == std::string::npos) return "";
+  return plan.substr(start, plan.find('\n', start) - start);
+}
+
+TEST(ServiceTest, EveryQueryCompilesBoundedRecursion) {
+  // sym is a permutation-bounded linear recursion: each query of the
+  // shape sym(b, Y) is unfolded before magic sets run, not only the
+  // first one the service sees.
+  QueryService service;
+  std::string text =
+      "sym(X, Y) :- base(X, Y).\n"
+      "sym(X, Y) :- link(X), sym(Y, X).\n";
+  for (int i = 0; i < 20; ++i) {
+    text += StrCat("base(b", i, ", b", i + 1, ").\n");
+    if (i % 2 == 0) text += StrCat("link(b", i, ").\n");
+  }
+  ASSERT_TRUE(service.Update(text).status.ok());
+
+  QueryResponse first = service.Query("?- sym(b12, Y).");
+  QueryResponse second = service.Query("?- sym(b14, Y).");
+  for (const QueryResponse* response : {&first, &second}) {
+    ASSERT_TRUE(response->status.ok()) << response->status;
+    EXPECT_NE(response->plan.find("bounded recursion: unfolded"),
+              std::string::npos)
+        << response->plan;
+  }
+  EXPECT_NE(TechniqueLine(first.plan).find("transformed rules"),
+            std::string::npos)
+      << first.plan;
+  EXPECT_EQ(TechniqueLine(second.plan), TechniqueLine(first.plan));
 }
 
 TEST(ServiceTest, CachedEqualsUncachedOnGraphWorkload) {
@@ -493,49 +563,6 @@ TEST(ServiceTest, BatchDriverReportsThroughputAndHitRate) {
   // 4 distinct queries, 100 lookups: almost everything after the first
   // round hits.
   EXPECT_GT(report.result_hit_rate, 0.9);
-}
-
-TEST(ServiceTest, StalePlanEntryIsDroppedNotForced) {
-  // Regression: a plan-cache entry recorded under an older rules epoch
-  // must not force its technique after the rules changed. The normal
-  // paths clear the cache on epoch bumps, so the stale state is
-  // planted with the test hook.
-  QueryService service;
-  SeedChain(&service, 10);
-  ASSERT_TRUE(service
-                  .TestOnlyInjectPlanEntry("?- tc(a0, Y).",
-                                           Technique::kTopDown,
-                                           service.rules_epoch() + 7)
-                  .ok());
-
-  QueryResponse response = service.Query("?- tc(a0, Y).");
-  ASSERT_TRUE(response.status.ok()) << response.status;
-  EXPECT_FALSE(response.plan_cache_hit);
-  EXPECT_EQ(response.rows.size(), 10u);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.plan_cache_hits, 0);
-  EXPECT_EQ(stats.plan_cache_misses, 1);
-}
-
-TEST(ServiceTest, CurrentEpochPlanEntryIsReused) {
-  // Control for the regression above: an entry stamped with the
-  // *current* epoch is a legitimate hit and forces its technique.
-  QueryService service;
-  SeedChain(&service, 10);
-  ASSERT_TRUE(service
-                  .TestOnlyInjectPlanEntry("?- tc(a0, Y).",
-                                           Technique::kTopDown,
-                                           service.rules_epoch())
-                  .ok());
-
-  QueryResponse response = service.Query("?- tc(a0, Y).");
-  ASSERT_TRUE(response.status.ok()) << response.status;
-  EXPECT_TRUE(response.plan_cache_hit);
-  EXPECT_EQ(response.technique, Technique::kTopDown);
-  EXPECT_EQ(response.rows.size(), 10u);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.plan_cache_hits, 1);
-  EXPECT_EQ(stats.plan_cache_misses, 0);
 }
 
 TEST(ServiceTest, RuleUpdateBetweenEvalAndInsertSkipsResultCache) {
